@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .fields import InvariantError
 from .ideals import (
     IdealSpec,
     ParametricIdealFamily,
@@ -61,13 +62,15 @@ def _truncations(family: AnnFamily, n_max: int):
     return algebra, labeled, {lab: truncate_ideal(ideal, algebra) for lab, ideal in labeled}
 
 
-def build_preorder(family: AnnFamily, n_max: int = 5):
+def build_preorder(family: AnnFamily, n_max: int = 5, spaces=None):
     """Edges (X, Y) with Ann(X) <= Ann(Y) at truncation; reflexive and
-    transitive by construction, asserted as a post-check."""
+    transitive by construction, checked afterwards.  `spaces`, the members'
+    truncated subspaces by label, saves computing them again."""
     if not family.members and not family.parametric:
         raise SpecError("empty family")
-    _algebra, labeled, spaces = _truncations(family, n_max)
-    labels = [lab for lab, _ in labeled]
+    if spaces is None:
+        spaces = _truncations(family, n_max)[2]
+    labels = list(spaces)
     edges = []
     for a in labels:
         for b in labels:
@@ -75,11 +78,12 @@ def build_preorder(family: AnnFamily, n_max: int = 5):
                 edges.append((a, b))
     eset = set(edges)
     for a in labels:
-        assert (a, a) in eset
+        if (a, a) not in eset:
+            raise InvariantError("preorder not reflexive")
     for a, b in edges:
         for c in labels:
-            if (b, c) in eset:
-                assert (a, c) in eset, "preorder not transitive"
+            if (b, c) in eset and (a, c) not in eset:
+                raise InvariantError("preorder not transitive")
     return edges
 
 
@@ -152,7 +156,7 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
     if not family.members and not family.parametric:
         raise SpecError("empty family")
     algebra, labeled, spaces = _truncations(family, n_max)
-    edges = build_preorder(family, n_max)
+    edges = build_preorder(family, n_max, spaces)
     scale = {"N": family.N, "n_max": n_max, "D": D}
 
     # parametric limits, each verified at scale

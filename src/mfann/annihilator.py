@@ -19,14 +19,18 @@ instead of one giant dense system.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
+from .fields import InvariantError
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
-from .linalg import Subspace, kernel, mat_mul, rref, solve_affine
+from .linalg import Subspace, as_array, dot, echelon, mod, neg, null_space, solve, zeros
 from .mf import MatrixFactorization, poly_mat_mul
-from .poly import Polynomial, grlex_key, monomials_upto
-from .truncation import TruncatedAlgebra, build_truncation
+from .poly import Polynomial, grlex_key, grlex_keys, monomials_upto
+from .truncation import build_truncation
 
 __all__ = [
     "Witness",
@@ -95,95 +99,54 @@ def row_col_bound(mf: MatrixFactorization):
 # ---------------------------------------------------------------------------
 
 
-def _stack_columns(mf, algebra):
-    """Column space C = span{reduce(b * phi[:, i])} inside k^(n*d)."""
-    field = algebra.field
-    n, d = mf.n, algebra.dim
-    vectors = []
-    for i in range(n):
-        for b in algebra.basis:
-            bm = Polynomial.from_monomial(field, b)
-            vec = []
-            for k in range(n):
-                vec.extend(algebra.reduce(mf.phi[k][i] * bm))
-            vectors.append(vec)
-    return Subspace.from_vectors(field, n * d, vectors)
-
-
-def _stack_rows(mf, algebra):
-    """Row space R = span{reduce(b * psi[j, :])} inside k^(n*d)."""
-    field = algebra.field
-    n, d = mf.n, algebra.dim
-    vectors = []
-    for j in range(n):
-        for b in algebra.basis:
-            bm = Polynomial.from_monomial(field, b)
-            vec = []
-            for l in range(n):
-                vec.extend(algebra.reduce(mf.psi[j][l] * bm))
-            vectors.append(vec)
-    return Subspace.from_vectors(field, n * d, vectors)
+def _span_of_rows(mat, algebra):
+    """Subspace of (R_N)^n spanned by b * (row a of mat) over the rows a and
+    the basis monomials b, one block of width dim R_N per entry."""
+    multiples = {}
+    for row in mat:
+        for e in row:
+            if e not in multiples:
+                multiples[e] = algebra.multiplication_operator(e).T
+    gens = np.block([[multiples[e] for e in row] for row in mat])
+    return Subspace.from_vectors(algebra.field, len(mat) * algebra.dim, gens)
 
 
 @functools.lru_cache(maxsize=64)
 def _truncated_data(mf: MatrixFactorization, N: int):
-    algebra = build_truncation(mf.spec, N)
-    col_space = _stack_columns(mf, algebra)
-    row_space = _stack_rows(mf, algebra)
-    E = col_space.complement_functionals()
-    return algebra, col_space, row_space, E
+    """R_N and constraint rows K (reduced echelon, with their pivots) such
+    that phi*alpha + beta*psi = r*I is solvable in R_N exactly when K r = 0.
 
-
-def _assemble_system(mf, algebra, row_space, E):
-    """Homogeneous matrix over unknowns [r (d) | rho_0..rho_{n-1} (dimR each)].
-
-    Row block j states: column j of r*I - sum_i iota_row_i(rho_i) lies in the
-    column space, via the complement functionals E.
+    beta*psi ranges over the matrices whose rows lie in the row space R, so
+    the system asks for rho_i in R (row i of beta*psi) with column j of
+    r*I - (rho_i)_i inside the column space C for every j.  With E the
+    complement functionals of C this is E_j r = sum_i E_i rho_i[block j].
+    Eliminating the rho coordinates first leaves the rows that constrain r
+    alone; the sign of the rho columns does not change them.
     """
-    field = algebra.field
-    n, d = mf.n, algebra.dim
-    c = len(E)
-    dimR = row_space.dim
-    Rbasis = row_space.basis
-    # E split into its n blocks of width d
-    E_blocks = [[row[i * d:(i + 1) * d] for row in E] for i in range(n)]
-    R_blocks = [[row[j * d:(j + 1) * d] for row in Rbasis] for j in range(n)]
-    rows = []
-    for j in range(n):
-        # r part: E^{(j)};  rho_i part: -E^{(i)} @ Rbasis[:, j*d:(j+1)*d]^T
-        blocks = [E_blocks[j]]
-        for i in range(n):
-            if dimR:
-                Bt = [list(col) for col in zip(*R_blocks[j])]  # d x dimR
-                prod = mat_mul(E_blocks[i], Bt, field)  # c x dimR
-                blocks.append([[field.neg(v) for v in row] for row in prod])
-            else:
-                blocks.append([[] for _ in range(c)])
-        for k in range(c):
-            row = []
-            for blk in blocks:
-                row.extend(blk[k])
-            rows.append(row)
-    return rows
+    algebra = build_truncation(mf.spec, N)
+    field, n, d = algebra.field, mf.n, algebra.dim
+    E = _span_of_rows(list(zip(*mf.phi)), algebra).complement_functionals()
+    R = _span_of_rows(mf.psi, algebra).basis
+    c, dim_r = len(E), len(R)
+    E_blocks = E.reshape(c, n, d).transpose(1, 0, 2).reshape(n * c, d)  # row (i, k)
+    R_blocks = R.reshape(dim_r, n, d).transpose(1, 0, 2).reshape(n * dim_r, d)  # row (j, t)
+    rho = dot(E_blocks, R_blocks.T, field).reshape(n, c, n, dim_r)  # [i, k, j, t]
+    system = np.hstack([rho.transpose(2, 1, 0, 3).reshape(n * c, n * dim_r), E_blocks])
+    reduced, pivots = echelon(system, field)
+    k = bisect.bisect_left(pivots, n * dim_r)
+    return algebra, reduced[k:, n * dim_r:], [q - n * dim_r for q in pivots[k:]]
 
 
 def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
     """The subspace {r in R_N : phi*alpha + beta*psi = r*I solvable in R_N}."""
-    algebra, _col, row_space, E = _truncated_data(mf, N)
-    field = algebra.field
-    d = algebra.dim
-    if not E:
-        return Subspace.full_space(field, d)
-    rows = _assemble_system(mf, algebra, row_space, E)
-    ncols = d + mf.n * row_space.dim
-    null = kernel(rows, field, ncols=ncols)
-    ann = Subspace.from_vectors(field, d, [v[:d] for v in null])
+    algebra, K, pivots = _truncated_data(mf, N)
+    field, d = algebra.field, algebra.dim
+    ann = Subspace.from_vectors(field, d, null_space(K, pivots, d, field))
     # post-check: the solvable set is an ideal of R_N
     for v in range(mf.spec.nvars):
-        xv = Polynomial.variable(field, mf.spec.nvars, v)
-        for g in ann.basis:
-            if not ann.contains(algebra.reduce(algebra.lift(g) * xv)):
-                raise AssertionError("truncated annihilator is not an ideal")
+        xv = algebra.multiplication_operator(Polynomial.variable(field, mf.spec.nvars, v))
+        if not ann.contains(dot(ann.basis, xv.T, field)):
+            raise InvariantError("truncated annihilator is not an ideal")
     return ann
 
 
@@ -193,24 +156,8 @@ def membership_truncated(mf: MatrixFactorization, r: Polynomial, N: int) -> bool
     False certifies r is not in the annihilator over the complete ring;
     True is evidence only.
     """
-    algebra, _col, row_space, E = _truncated_data(mf, N)
-    field = algebra.field
-    d = algebra.dim
-    if not E:
-        return True
-    rows = _assemble_system(mf, algebra, row_space, E)
-    r_vec = algebra.reduce(r)
-    # fix the r coordinates: move the first d columns to the right-hand side
-    A = [row[d:] for row in rows]
-    b = []
-    for row in rows:
-        acc = field.zero
-        for a, x in zip(row[:d], r_vec):
-            acc = field.add(acc, field.mul(a, x))
-        b.append(field.neg(acc))
-    if not A or not A[0]:
-        return all(v == field.zero for v in b)
-    return solve_affine(A, b, field) is not None
+    algebra, K, _pivots = _truncated_data(mf, N)
+    return not np.count_nonzero(dot(K, algebra.reduce(r), algebra.field))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +172,8 @@ class _WitnessSearcher:
     the single-entry vectors {f * m e_k} absorbing gamma; beta is eliminated
     against the quotient by that span, exactly as in the truncated solve but
     over genuine polynomial coefficient space (no truncation, hence exact).
+    Polynomials are coefficient vectors over the support: the `grlex_keys`
+    of every monomial the generators and the beta products reach, ascending.
     """
 
     def __init__(self, mf: MatrixFactorization, D: int):
@@ -232,189 +181,108 @@ class _WitnessSearcher:
         self.D = D
         spec = mf.spec
         field = spec.field
-        n = mf.n
+        n, nv = mf.n, spec.nvars
         entry_deg = max(
             [e.degree() for row in mf.phi for e in row if not e.is_zero]
             + [e.degree() for row in mf.psi for e in row if not e.is_zero]
         )
         self.gamma_bound = max(D + entry_deg - spec.f.min_degree(), 0)
-        self.alpha_monos = monomials_upto(spec.nvars, D)
-        self.gamma_monos = monomials_upto(spec.nvars, self.gamma_bound)
+        self.alpha_monos = monomials_upto(nv, D)
+        self.gamma_monos = monomials_upto(nv, self.gamma_bound)
+        na, ng = len(self.alpha_monos), len(self.gamma_monos)
 
-        # generator bookkeeping: ("a", i, mono) or ("g", k, mono)
-        self.gen_tags = []
-        gen_polys = []  # list of length-n polynomial vectors
-        for i in range(n):
-            for m in self.alpha_monos:
-                bm = Polynomial.from_monomial(field, m)
-                self.gen_tags.append(("a", i, m))
-                gen_polys.append([mf.phi[k][i] * bm for k in range(n)])
-        for k in range(n):
-            for m in self.gamma_monos:
-                bm = Polynomial.from_monomial(field, m)
-                vec = [Polynomial.zero(field, spec.nvars) for _ in range(n)]
-                vec[k] = spec.f * bm
-                self.gen_tags.append(("g", k, m))
-                gen_polys.append(vec)
+        def shifted(p, monos):
+            exps = np.array(list(p.terms), dtype=np.int64).reshape(-1, nv)
+            return (exps[:, None, :] + np.array(monos, dtype=np.int64),
+                    as_array(list(p.terms.values()), field))
 
-        # beta products psi-row entries times alpha monomials
-        self.beta_products = {}
-        support = set()
-        for j in range(n):
-            for l in range(n):
-                prods = []
-                for m in self.alpha_monos:
-                    prod = mf.psi[j][l] * Polynomial.from_monomial(field, m)
-                    prods.append(prod)
-                    support.update(prod.terms)
-                self.beta_products[(j, l)] = prods
-        for vec in gen_polys:
-            for p in vec:
-                support.update(p.terms)
-        support.add((0,) * spec.nvars)
-        self.support = sorted(support, key=grlex_key)
-        self.mono_index = {m: idx for idx, m in enumerate(self.support)}
+        products = {"f": shifted(spec.f, self.gamma_monos)}
+        for a in range(n):
+            for b in range(n):
+                products["phi", a, b] = shifted(mf.phi[a][b], self.alpha_monos)
+                products["psi", a, b] = shifted(mf.psi[a][b], self.alpha_monos)
+        self._base = 1 + max(int(e.max(initial=0)) for e, _ in products.values())
+        self.support = np.unique(np.concatenate(
+            [grlex_keys(e, self._base).ravel() for e, _ in products.values()] + [[0]]))
+        # (support index of term t times monomial m, coefficient of term t)
+        self.shift = shift = {k: (np.searchsorted(self.support, grlex_keys(e, self._base)), c)
+                              for k, (e, c) in products.items()}
         s = len(self.support)
-        self.s = s
 
-        def poly_vec(polys):
-            vec = [field.zero] * (n * s)
-            for k, p in enumerate(polys):
-                base = k * s
-                for mm, cc in p.terms.items():
-                    vec[base + self.mono_index[mm]] = cc
-            return vec
-
-        self._poly_vec = poly_vec
-        self.gen_rows = [poly_vec(vec) for vec in gen_polys]
-        basis, pivots, self.transform = rref(self.gen_rows, field, transform=True)
+        # generator rows: ("a", i, m) = m * phi[:, i], then ("g", k, m) = f * m e_k
+        gens = zeros((n * na + n * ng, n * s), field)
+        for i in range(n):
+            for k in range(n):
+                at, coeffs = shift["phi", k, i]
+                gens[i * na + np.arange(na), k * s + at] = coeffs[:, None]
+        for k in range(n):
+            at, coeffs = shift["f"]
+            gens[n * na + k * ng + np.arange(ng), k * s + at] = coeffs[:, None]
+        basis, pivots, self.transform = echelon(gens, field, transform=True)
         self.col_space = Subspace(field, n * s, basis, pivots)
-        self.E = self.col_space.complement_functionals()
-        self.E_blocks = [[row[i * s:(i + 1) * s] for row in self.E] for i in range(n)]
+        E = self.col_space.complement_functionals()
+        c = len(E)
+        E = E.reshape(c, n, s)
+        self.rhs = E.transpose(1, 0, 2).reshape(n * c, s)  # row (J, k): E_J[k]
 
-        # coefficient blocks: for unknown beta[i][j] monomial m, its column in
-        # equation block J is -E^{(i)} @ coeffs(m * psi[j][J])
-        field_ = field
-        self._beta_cols = {}
-        if self.E:
-            for j in range(n):
-                for J in range(n):
-                    if all(p.is_zero for p in self.beta_products[(j, J)]):
-                        self._beta_cols[(j, J)] = None
-                        continue
-                    P = []
-                    for p in self.beta_products[(j, J)]:
-                        rowv = [field_.zero] * s
-                        for mm, cc in p.terms.items():
-                            rowv[self.mono_index[mm]] = cc
-                        P.append(rowv)
-                    Pt = [list(col) for col in zip(*P)]  # s x |alpha_monos|
-                    self._beta_cols[(j, J)] = Pt
+        # beta[i][j] monomial m adds E_i (m * psi[j][J]) to equation block J;
+        # built once, since only the right-hand side depends on r
+        system = zeros((n, c, n, n, na), field)  # [J, k, i, j, m]
+        for j in range(n):
+            for J in range(n):
+                at, coeffs = shift["psi", j, J]
+                if len(coeffs):
+                    system[J, :, :, j, :] = dot(
+                        E[:, :, at].transpose(0, 1, 3, 2), coeffs, field)
+        self.system = system.reshape(n * c, n * n * na)
 
-    def solvable_system(self, r: Polynomial):
-        """Affine system (A, b) for the beta coefficients; None means the
-        right-hand side support escapes the reachable monomials."""
-        mf = self.mf
-        field = mf.spec.field
-        n = mf.n
-        for m in r.terms:
-            if m not in self.mono_index:
-                return "unreachable"
-        c = len(self.E)
-        nm = len(self.alpha_monos)
-        A_rows = []
-        b = []
-        for J in range(n):
-            # unknown order: beta[i][j] coefficient vectors, (i, j) row-major
-            blocks = []
-            for i in range(n):
-                for j in range(n):
-                    Pt = self._beta_cols[(j, J)]
-                    if Pt is None:
-                        blocks.append(None)
-                    else:
-                        blocks.append(mat_mul(self.E_blocks[i], Pt, field))
-            r_vec = [field.zero] * self.s
-            for mm, cc in r.terms.items():
-                r_vec[self.mono_index[mm]] = cc
-            rhs_part = mat_mul(self.E_blocks[J], [[v] for v in r_vec], field)
-            for k in range(c):
-                row = []
-                for blk in blocks:
-                    row.extend([field.zero] * nm if blk is None else blk[k])
-                A_rows.append(row)
-                b.append(rhs_part[k][0])
-        return A_rows, b
+    def _poly(self, coeffs, monos):
+        field = self.mf.spec.field
+        return Polynomial(field, self.mf.spec.nvars,
+                          {m: field.coerce(c) for m, c in zip(monos, coeffs)})
 
     def search(self, r: Polynomial):
         mf = self.mf
-        spec = mf.spec
-        field = spec.field
-        n = mf.n
-        sys_ = self.solvable_system(r)
-        if sys_ == "unreachable":
-            return None
-        A_rows, b = sys_
-        if not self.E:
-            beta_coeffs = [field.zero] * (n * n * len(self.alpha_monos))
-        else:
-            sol = solve_affine(A_rows, b, field) if A_rows and A_rows[0] else (
-                ([], []) if all(v == field.zero for v in b) else None
-            )
+        field = mf.spec.field
+        n, s, na = mf.n, len(self.support), len(self.alpha_monos)
+        exps = np.array(list(r.terms), dtype=np.int64).reshape(-1, mf.spec.nvars)
+        keys = grlex_keys(exps, self._base)
+        at = np.minimum(np.searchsorted(self.support, keys), s - 1)
+        if exps.max(initial=0) >= self._base or np.any(self.support[at] != keys):
+            return None  # the right-hand side escapes the reachable monomials
+        r_vec = zeros(s, field)
+        r_vec[at] = list(r.terms.values())
+        beta_coeffs = zeros((n, n, na), field)
+        if len(self.system):
+            sol = solve(self.system, dot(self.rhs, r_vec, field), field)
             if sol is None:
                 return None
-            particular = sol[0]
-            beta_coeffs = particular if particular else [field.zero] * (
-                n * n * len(self.alpha_monos)
-            )
-
-        # rebuild beta
-        zero = Polynomial.zero(field, spec.nvars)
-        beta = [[zero for _ in range(n)] for _ in range(n)]
-        idx = 0
-        nm = len(self.alpha_monos)
-        for i in range(n):
-            for j in range(n):
-                terms = {}
-                for t, m in enumerate(self.alpha_monos):
-                    c = field.coerce(beta_coeffs[idx + t])
-                    if c != field.zero:
-                        terms[m] = c
-                beta[i][j] = Polynomial(field, spec.nvars, terms)
-                idx += nm
+            beta_coeffs = sol[0].reshape(n, n, na)
+        beta = [[self._poly(beta_coeffs[i, j], self.alpha_monos) for j in range(n)]
+                for i in range(n)]
 
         # residual per column: r*e_J - (beta*psi) column J, expressed in the
         # generator span to recover alpha and gamma
-        alpha = [[zero for _ in range(n)] for _ in range(n)]
-        gamma = [[zero for _ in range(n)] for _ in range(n)]
-        bpsi = poly_mat_mul(beta, [[e for e in row] for row in mf.psi])
+        alpha = [[None] * n for _ in range(n)]
+        gamma = [[None] * n for _ in range(n)]
         for J in range(n):
-            col = []
-            for i in range(n):
-                p = -bpsi[i][J]
-                if i == J:
-                    p = p + r
-                col.append(p)
-            vec = self._poly_vec(col)
-            coords = self.col_space.coords(vec)
+            col = zeros((n, s), field)
+            for j in range(n):
+                at, coeffs = self.shift["psi", j, J]
+                for t in range(len(coeffs)):
+                    col[:, at[t]] = mod(col[:, at[t]] + coeffs[t] * beta_coeffs[:, j, :], field)
+            col = neg(col, field)
+            col[J] = mod(col[J] + r_vec, field)
+            coords = self.col_space.coords(col.reshape(-1))
             if coords is None:
                 return None
             # back to original generator coordinates through the transform
-            gen_coords = [field.zero] * len(self.gen_rows)
-            for c_val, trow in zip(coords, self.transform):
-                if c_val != field.zero:
-                    gen_coords = [
-                        field.add(g, field.mul(c_val, t)) for g, t in zip(gen_coords, trow)
-                    ]
-            for coeff, tag in zip(gen_coords, self.gen_tags):
-                if coeff == field.zero:
-                    continue
-                kind, k, m = tag
-                term = Polynomial.from_monomial(field, m, coeff)
-                if kind == "a":
-                    alpha[k][J] = alpha[k][J] + term
-                else:
-                    gamma[k][J] = gamma[k][J] - term
+            gen_coords = dot(coords, self.transform, field)
+            a_part = gen_coords[:n * na].reshape(n, na)
+            g_part = neg(gen_coords[n * na:], field).reshape(n, -1)
+            for k in range(n):
+                alpha[k][J] = self._poly(a_part[k], self.alpha_monos)
+                gamma[k][J] = self._poly(g_part[k], self.gamma_monos)
         witness = Witness(
             r,
             tuple(tuple(row) for row in alpha),
@@ -422,7 +290,7 @@ class _WitnessSearcher:
             tuple(tuple(row) for row in gamma),
         )
         if not witness.verify(mf):
-            raise AssertionError("recovered witness failed exact verification")
+            raise InvariantError("recovered witness failed exact verification")
         return witness
 
 
@@ -483,7 +351,7 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
     # Lemma-style upper bound: the subspace sits inside every J_k truncation
     for J_k in row_col_bound(mf):
         if not upper.is_subspace_of(truncate_ideal(J_k, algebra)):
-            raise AssertionError("row/column bound violated by the truncated solve")
+            raise InvariantError("row/column bound violated by the truncated solve")
 
     lower = []
     witnessed_vectors = []
@@ -500,6 +368,10 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
                 lower.append((g, w))
                 witnessed_vectors.append(algebra.reduce(g))
         remaining = still
+    # The searchers and the truncated system serve this call only; keeping
+    # them afterwards would only hold memory.
+    _searcher.cache_clear()
+    _truncated_data.cache_clear()
 
     if witnessed_vectors:
         witnessed_span = ideal_subspace_from_vectors(witnessed_vectors, algebra)

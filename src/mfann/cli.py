@@ -2,7 +2,8 @@
 and the full catalog reproduction with deterministic JSON reports.
 
 Exit codes: 0 = pass, 1 = usage or configuration error, 2 = mathematical
-mismatch (an identity, table entry, or verdict failed to check out).
+mismatch (an identity, table entry, or verdict failed to check out),
+3 = internal invariant failure (a bug; no report is written).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from .alexandrov import compactness_verdict
 from .annihilator import annihilate, annihilator_truncated
 from .families import EXPECTED_VERDICTS, build_family
-from .fields import FieldError, default_field, field_to_config, parse_field_flag
+from .fields import FieldError, InvariantError, default_field, field_to_config, parse_field_flag
 from .ideals import truncate_ideal
 from .mf import (
     RING_IDS,
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
     except (CatalogError, SpecError, FieldError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

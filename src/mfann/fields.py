@@ -14,6 +14,12 @@ class FieldError(ValueError):
     """Raised for invalid field configurations or non-invertible elements."""
 
 
+class InvariantError(AssertionError):
+    """An internal consistency check failed: a bug, never bad input.
+
+    Raised explicitly, so the check survives ``python -O``."""
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -28,12 +34,18 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """F_p for an odd prime p, optionally with a designated square root of -1."""
+    """F_p for an odd prime p < 2^31, optionally with a square root of -1.
+
+    The bound keeps a product of two residues below 2^62, which the int64
+    linear algebra relies on.
+    """
 
     kind = "prime-field"
     is_prime = True
 
     def __init__(self, p: int, imaginary_unit: int | None = None):
+        if p >= 2**31:
+            raise FieldError(f"{p} is too large: exact int64 arithmetic needs p < 2^31")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         if p == 2:

@@ -7,10 +7,12 @@ in the annihilator tables (x, y^n), (x^2, xy, y^(n+1)), (x, y^(n+1), z), ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .linalg import Subspace, solve_affine
-from .poly import Polynomial, grlex_key, mono_mul, monomials_upto
+import numpy as np
+
+from .linalg import Subspace, as_array, solve, zeros
+from .poly import Polynomial, grlex_keys, monomials_upto
 from .truncation import RingSpec, SpecError, TruncatedAlgebra, build_truncation
 
 __all__ = [
@@ -92,27 +94,22 @@ class ParametricIdealFamily:
         }
 
 
+def _span_of_multiples(polys, algebra: TruncatedAlgebra) -> Subspace:
+    """Subspace of R_N spanned by p * b over the given p and basis monomials b."""
+    rows = [algebra.multiplication_operator(p).T for p in polys]
+    return Subspace.from_vectors(algebra.field, algebra.dim, np.vstack(rows) if rows else [])
+
+
 def truncate_ideal(ideal: IdealSpec, algebra: TruncatedAlgebra) -> Subspace:
     """Subspace of R_N spanned by {reduce(g * b) : g generator, b basis monomial}."""
     if ideal.spec != algebra.spec:
         raise SpecError("ideal and algebra are over different rings")
-    field = algebra.field
-    vectors = []
-    for g in ideal.generators:
-        for b in algebra.basis:
-            vectors.append(algebra.reduce(g * Polynomial.from_monomial(field, b)))
-    return Subspace.from_vectors(field, algebra.dim, vectors)
+    return _span_of_multiples(ideal.generators, algebra)
 
 
 def ideal_subspace_from_vectors(vectors, algebra: TruncatedAlgebra) -> Subspace:
     """Ideal of R_N generated by elements given as coordinate vectors."""
-    field = algebra.field
-    out = []
-    for v in vectors:
-        p = algebra.lift(v)
-        for b in algebra.basis:
-            out.append(algebra.reduce(p * Polynomial.from_monomial(field, b)))
-    return Subspace.from_vectors(field, algebra.dim, out)
+    return _span_of_multiples([algebra.lift(v) for v in vectors], algebra)
 
 
 def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
@@ -124,14 +121,12 @@ def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
     order is the greedy small-degree-first scan.
     """
     gens = []
-    gen_vectors = []
     current = Subspace.zero_space(algebra.field, algebra.dim)
     for row in space.basis:
         if current.contains(row):
             continue
         gens.append(algebra.lift(row))
-        gen_vectors.append(row)
-        current = ideal_subspace_from_vectors(gen_vectors, algebra)
+        current = current + _span_of_multiples(gens[-1:], algebra)
         if current.dim == space.dim:
             break
     return gens
@@ -162,40 +157,30 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
     spec = ideal.spec
     f = spec.field
     gens = list(ideal.generators) + [spec.f]
-    monos = monomials_upto(spec.nvars, D)
-    # column per (generator, monomial) cofactor coefficient
-    columns = []
-    support = set(p.terms)
-    products = []
-    for g in gens:
-        for m in monos:
-            prod = g * Polynomial.from_monomial(f, m)
-            products.append(prod)
-            support.update(prod.terms)
-    support = sorted(support, key=grlex_key)
-    row_of = {mm: i for i, mm in enumerate(support)}
-    A = [[f.zero] * len(products) for _ in support]
-    for j, prod in enumerate(products):
-        for mm, c in prod.terms.items():
-            A[row_of[mm]][j] = c
-    b = [f.zero] * len(support)
-    for mm, c in p.terms.items():
-        b[row_of[mm]] = c
-    sol = solve_affine(A, b, f)
+    monos = np.array(monomials_upto(spec.nvars, D), dtype=np.int64)
+    # one unknown per (generator, monomial) cofactor coefficient, one
+    # equation per monomial reached; the equation order does not change the
+    # canonical solution
+    exps = [np.array(list(g.terms), dtype=np.int64)[:, None, :] + monos for g in gens]
+    exps.append(np.array(list(p.terms), dtype=np.int64).reshape(-1, spec.nvars))
+    base = 1 + max(int(e.max(initial=0)) for e in exps)
+    keys = [grlex_keys(e, base) for e in exps]
+    support = np.unique(np.concatenate([k.ravel() for k in keys]))
+    A = zeros((len(support), len(gens) * len(monos)), f)
+    for k, g in enumerate(gens):
+        coeffs = as_array(list(g.terms.values()), f)[:, None]
+        A[np.searchsorted(support, keys[k]), k * len(monos) + np.arange(len(monos))] = coeffs
+    b = zeros(len(support), f)
+    b[np.searchsorted(support, keys[-1])] = list(p.terms.values())
+    sol = solve(A, b, f)
     if sol is None:
         return MemberResult("undetermined")
-    particular, _ = sol
-    cofactors = []
-    j = 0
-    for _g in gens:
-        terms = {}
-        for m in monos:
-            c = f.coerce(particular[j])
-            if c != f.zero:
-                terms[m] = c
-            j += 1
-        cofactors.append(Polynomial(f, spec.nvars, terms))
-    return MemberResult("yes-certified", tuple(cofactors))
+    particular = sol[0].reshape(len(gens), len(monos))
+    cofactors = tuple(
+        Polynomial(f, spec.nvars, {tuple(m): f.coerce(c) for m, c in zip(monos.tolist(), row)})
+        for row in particular
+    )
+    return MemberResult("yes-certified", cofactors)
 
 
 def sum_at(I: IdealSpec, J: IdealSpec, algebra: TruncatedAlgebra) -> Subspace:
@@ -245,14 +230,9 @@ def is_m_primary(ideal: IdealSpec, N_max: int) -> MPrimaryResult:
         colengths.append(algebra.dim - space.dim)
         if len(colengths) >= 3 and colengths[-1] == colengths[-2] == colengths[-3]:
             # certificate: every degree-(N-1) monomial reduces into the ideal
-            field = spec.field
-            ok = True
-            for m in monomials_upto(spec.nvars, N - 1):
-                if sum(m) != N - 1:
-                    continue
-                if not space.contains(algebra.reduce(Polynomial.from_monomial(field, m))):
-                    ok = False
-                    break
+            top = [Polynomial.from_monomial(spec.field, m)
+                   for m in monomials_upto(spec.nvars, N - 1) if sum(m) == N - 1]
+            ok = space.contains(np.vstack([algebra.reduce(m) for m in top]))
             if ok:
                 return MPrimaryResult("m-primary", colengths[-1], tuple(colengths), N)
             return MPrimaryResult("undetermined", None, tuple(colengths), None)

@@ -1,95 +1,160 @@
-"""Exact dense linear algebra over a field.
+"""Exact dense linear algebra over a field, on numpy arrays.
 
-Matrices are lists of rows; a vector is a list of field elements.  Row
-reduction over prime fields is vectorized with numpy int64 arithmetic
-(values stay reduced mod p, so this is exact); over the rationals a generic
-Fraction-based elimination is used.
+Over F_p a matrix is an int64 array with entries in [0, p).  Since p < 2^31,
+a product of two entries stays below 2^62; `dot` splits long sums so that no
+partial sum reaches 2^63 (delayed modular reduction), and row reduction
+reduces after every step.  Over the rationals a matrix is an object array of
+`Fraction`s, and the same code runs on it.  Nothing here uses floating point.
+
+`rref`, `kernel`, `solve_affine` and `mat_mul` take and return lists of rows;
+the package itself works on arrays through `echelon`, `null_space`, `solve`
+and `dot`, and `Subspace` holds its basis as an array.
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
-__all__ = ["rref", "kernel", "solve_affine", "mat_mul", "Subspace", "eye"]
+__all__ = [
+    "rref", "kernel", "solve_affine", "mat_mul", "Subspace", "eye",
+    "zeros", "as_array", "dot", "mod", "neg", "echelon", "null_space", "solve",
+]
+
+_INT64_MAX = 2**63 - 1
+
+
+def zeros(shape, field):
+    if field.is_prime:
+        return np.zeros(shape, dtype=np.int64)
+    return np.full(shape, field.zero, dtype=object)
 
 
 def eye(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    out = zeros((n, n), field)
+    out[np.arange(n), np.arange(n)] = field.one
+    return out
 
 
-def _rref_np(rows, p, transform):
-    M = np.array(rows, dtype=np.int64) % p
+def as_array(rows, field, ncols=None):
+    """Array of field elements; arrays pass through, lists are converted.
+    An empty list becomes a 0 x ncols array, or an empty vector."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    if len(rows) == 0:
+        return zeros(0 if ncols is None else (0, ncols), field)
+    if field.is_prime:
+        return np.array(rows, dtype=np.int64) % field.p
+    return np.array(rows, dtype=object)
+
+
+def dot(A, B, field):
+    """A @ B over the field (B may be a vector)."""
+    k = A.shape[-1]
+    if not field.is_prime:
+        return _dot_sparse(A, B, field)
+    p = field.p
+    step = _INT64_MAX // (p - 1) ** 2
+    if k <= step:
+        return (A @ B) % p
+    out = (A[..., :step] @ B[:step]) % p
+    for s in range(step, k, step):
+        out = (out + (A[..., s:s + step] @ B[s:s + step]) % p) % p
+    return out
+
+
+def _dot_sparse(A, B, field):
+    # Object arrays pay a Fraction operation per product, so skip the zeros:
+    # one outer product per inner index, over its nonzero rows and columns.
+    A2 = A.reshape(int(np.prod(A.shape[:-1])), A.shape[-1])
+    B2 = B.reshape(B.shape[0], int(np.prod(B.shape[1:])))
+    out = zeros((A2.shape[0], B2.shape[1]), field)
+    nz_a, nz_b = A2.astype(bool), B2.astype(bool)
+    for t in range(A2.shape[1]):
+        rows, cols = np.flatnonzero(nz_a[:, t]), np.flatnonzero(nz_b[t])
+        if rows.size and cols.size:
+            out[np.ix_(rows, cols)] += np.outer(A2[rows, t], B2[t, cols])
+    return out.reshape(A.shape[:-1] + B.shape[1:])
+
+
+def mod(A, field):
+    """A with its entries reduced into the field's range."""
+    return A % field.p if field.is_prime else A
+
+
+def neg(A, field):
+    return mod(-A, field)
+
+
+def echelon(M, field, transform=False):
+    """Reduced row echelon form of the 2-D array M, which is left unchanged.
+
+    Returns (R, pivots) with the zero rows dropped, or (R, pivots, T) with
+    R = T M.  R depends only on the row space of M.
+    """
+    p = field.p if field.is_prime else 0
     nrows, ncols = M.shape
-    T = np.eye(nrows, dtype=np.int64) if transform else None
+    M = np.hstack([M, eye(field, nrows)]) if transform else M.copy()
     r = 0
     pivots = []
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
+        nz = M[r:, c].nonzero()[0]
+        if not nz.size:
             continue
-        i = r + int(nz[0])
+        i = r + nz[0]
         if i != r:
             M[[r, i]] = M[[i, r]]
-            if transform:
-                T[[r, i]] = T[[i, r]]
-        inv = pow(int(M[r, c]), p - 2, p)
-        M[r] = (M[r] * inv) % p
-        if transform:
-            T[r] = (T[r] * inv) % p
-        col = M[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            M[mask] = (M[mask] - np.outer(col[mask], M[r])) % p
-            if transform:
-                T[mask] = (T[mask] - np.outer(col[mask], T[r])) % p
+        # Entries left of column c are zero in rows r and below.
+        row = M[r, c:] * field.inv(int(M[r, c]) if p else M[r, c])
+        others = M[:, c].nonzero()[0]  # the pivot row too; it is rewritten below
+        if p:
+            row %= p
+            if others.size > 1:
+                M[others, c:] = (M[others, c:] - M[others, c, None] * row) % p
+        elif others.size > 1:
+            # Fractions: touch only the pivot row's nonzero columns
+            cols = row.nonzero()[0]
+            block = np.ix_(others, c + cols)
+            M[block] = M[block] - np.outer(M[others, c], row[cols])
+        M[r, c:] = row
         pivots.append(c)
         r += 1
-    basis = [[int(v) for v in M[k]] for k in range(r)]
+    # Copies, so that a stored basis does not pin the whole work array.
     if transform:
-        tmat = [[int(v) for v in T[k]] for k in range(r)]
-        return basis, pivots, tmat
-    return basis, pivots, None
+        return M[:r, :ncols].copy(), pivots, M[:r, ncols:].copy()
+    return M[:r].copy(), pivots
 
 
-def _rref_generic(rows, field, transform):
-    M = [list(row) for row in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    T = eye(field, nrows) if transform else None
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if M[i][c] != field.zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            M[r], M[pivot_row] = M[pivot_row], M[r]
-            if transform:
-                T[r], T[pivot_row] = T[pivot_row], T[r]
-        inv = field.inv(M[r][c])
-        M[r] = [field.mul(v, inv) for v in M[r]]
-        if transform:
-            T[r] = [field.mul(v, inv) for v in T[r]]
-        for i in range(nrows):
-            if i != r and M[i][c] != field.zero:
-                factor = M[i][c]
-                M[i] = [field.sub(a, field.mul(factor, b)) for a, b in zip(M[i], M[r])]
-                if transform:
-                    T[i] = [field.sub(a, field.mul(factor, b)) for a, b in zip(T[i], T[r])]
-        pivots.append(c)
-        r += 1
-    if transform:
-        return M[:r], pivots, T[:r]
-    return M[:r], pivots, None
+def null_space(R, pivots, ncols, field):
+    """Rows spanning {x : R x = 0} for R in reduced echelon form."""
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    out = zeros((free.size, ncols), field)
+    out[np.arange(free.size), free] = field.one
+    if pivots:
+        out[:, pivots] = neg(R[:, free].T, field)
+    return out
+
+
+def solve(A, b, field):
+    """(particular, null space rows) of A x = b, or None if inconsistent.
+
+    The particular solution is the one with every free variable zero.
+    """
+    ncols = A.shape[1]
+    R, pivots = echelon(np.hstack([A, b.reshape(-1, 1)]), field)
+    if ncols in pivots:
+        return None
+    particular = zeros(ncols, field)
+    particular[pivots] = R[:, ncols]
+    return particular, null_space(R[:, :ncols], pivots, ncols, field)
+
+
+# ---------------------------------------------------------------------------
+# list-of-rows boundary
+# ---------------------------------------------------------------------------
 
 
 def rref(rows, field, transform=False):
@@ -99,16 +164,10 @@ def rref(rows, field, transform=False):
     (basis_rows, pivot_columns, T) where basis = T applied to the input rows.
     Zero rows are dropped.  Deterministic for a fixed row order.
     """
-    rows = [row for row in rows]
     if not rows:
         return ([], [], []) if transform else ([], [])
-    if field.is_prime:
-        basis, pivots, tmat = _rref_np(rows, field.p, transform)
-    else:
-        basis, pivots, tmat = _rref_generic(rows, field, transform)
-    if transform:
-        return basis, pivots, tmat
-    return basis, pivots
+    out = echelon(as_array(rows, field), field, transform)
+    return (out[0].tolist(), out[1]) + ((out[2].tolist(),) if transform else ())
 
 
 def mat_mul(A, B, field):
@@ -117,40 +176,16 @@ def mat_mul(A, B, field):
         return []
     if not B:
         return [[] for _ in A]
-    if field.is_prime:
-        p = field.p
-        out = (np.array(A, dtype=np.int64) @ np.array(B, dtype=np.int64)) % p
-        return [[int(v) for v in row] for row in out]
-    n = len(B[0])
-    out = []
-    for row in A:
-        acc = [field.zero] * n
-        for a, brow in zip(row, B):
-            if a != field.zero:
-                acc = [field.add(x, field.mul(a, b)) for x, b in zip(acc, brow)]
-        out.append(acc)
-    return out
+    return dot(as_array(A, field), as_array(B, field), field).tolist()
 
 
 def kernel(rows, field, ncols=None):
     """Basis of the null space {x : A x = 0} for A given by rows."""
     if not rows:
-        return [] if ncols is None else [
-            [field.one if i == j else field.zero for j in range(ncols)]
-            for i in range(ncols)
-        ]
+        return [] if ncols is None else eye(field, ncols).tolist()
     ncols = len(rows[0])
-    basis, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    out = []
-    for fcol in free:
-        v = [field.zero] * ncols
-        v[fcol] = field.one
-        for row, p in zip(basis, pivots):
-            v[p] = field.neg(row[fcol])
-        out.append(v)
-    return out
+    R, pivots = echelon(as_array(rows, field), field)
+    return null_space(R, pivots, ncols, field).tolist()
 
 
 def solve_affine(A, b, field):
@@ -168,79 +203,63 @@ def solve_affine(A, b, field):
     for row in A:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    basis, pivots = rref(aug, field)
-    if ncols in pivots:
-        return None
-    particular = [field.zero] * ncols
-    for row, p in zip(basis, pivots):
-        particular[p] = row[ncols]
-    return particular, kernel([row[:ncols] for row in basis], field, ncols=ncols)
+    sol = solve(as_array(A, field), as_array(b, field), field)
+    return None if sol is None else (sol[0].tolist(), sol[1].tolist())
+
+
+# ---------------------------------------------------------------------------
+# subspaces
+# ---------------------------------------------------------------------------
 
 
 class Subspace:
-    """A subspace of k^ambient held as a reduced-echelon basis."""
+    """A subspace of k^ambient held as its reduced-echelon basis (an array)."""
 
     def __init__(self, field, ambient, basis, pivots):
         self.field = field
         self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
+        self.basis = as_array(basis, field, ambient)
+        self.pivots = list(pivots)
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        vectors = [v for v in vectors if any(x != field.zero for x in v)]
-        if not vectors:
-            return cls(field, ambient, [], [])
-        basis, pivots = rref(vectors, field)
+        basis, pivots = echelon(as_array(vectors, field, ambient), field)
         return cls(field, ambient, basis, pivots)
 
     @classmethod
     def zero_space(cls, field, ambient):
-        return cls(field, ambient, [], [])
+        return cls(field, ambient, zeros((0, ambient), field), [])
 
     @classmethod
     def full_space(cls, field, ambient):
-        return cls(field, ambient, eye(field, ambient), list(range(ambient)))
+        return cls(field, ambient, eye(field, ambient), range(ambient))
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.pivots)
 
     def residual(self, v):
-        """v minus its projection onto the basis (zero iff v is contained)."""
-        f = self.field
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != f.zero:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+        """v minus its projection onto the basis (zero iff v is contained);
+        for a 2-D v, the residual of every row."""
+        v = as_array(v, self.field)
+        if not self.pivots:
+            return v
+        return mod(v - dot(v[..., self.pivots], self.basis, self.field), self.field)
 
     def contains(self, v) -> bool:
-        f = self.field
-        return all(x == f.zero for x in self.residual(v))
+        """Whether v, or every row of a 2-D v, lies in the subspace."""
+        return not np.count_nonzero(self.residual(v))
 
     def coords(self, v):
         """Coordinates of v in the echelon basis, or None if not contained."""
+        v = as_array(v, self.field)
         if not self.contains(v):
             return None
-        return [v[p] for p in self.pivots]
+        return v[self.pivots]
 
     def complement_functionals(self):
         """Rows of a matrix E with kernel exactly this subspace."""
-        f = self.field
-        pivot_set = set(self.pivots)
-        out = []
-        for q in range(self.ambient):
-            if q in pivot_set:
-                continue
-            lam = [f.zero] * self.ambient
-            lam[q] = f.one
-            for row, p in zip(self.basis, self.pivots):
-                lam[p] = f.neg(row[q])
-            out.append(lam)
-        return out
+        return null_space(self.basis, self.pivots, self.ambient, self.field)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -249,17 +268,18 @@ class Subspace:
             self.field == other.field
             and self.ambient == other.ambient
             and self.pivots == other.pivots
-            and self.basis == other.basis
+            and np.array_equal(self.basis, other.basis)
         )
 
     def __hash__(self):
         return hash((self.ambient, tuple(self.pivots)))
 
     def is_subspace_of(self, other) -> bool:
-        return all(other.contains(row) for row in self.basis)
+        return other.contains(self.basis)
 
     def __add__(self, other):
-        return Subspace.from_vectors(self.field, self.ambient, self.basis + other.basis)
+        return Subspace.from_vectors(
+            self.field, self.ambient, np.vstack([self.basis, other.basis]))
 
     def intersect(self, other):
         """Zassenhaus intersection."""
@@ -267,19 +287,21 @@ class Subspace:
         amb = self.ambient
         if amb != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        zero = [f.zero] * amb
-        stacked = [row + row for row in self.basis] + [row + zero for row in other.basis]
-        if not stacked:
-            return Subspace.zero_space(f, amb)
-        basis, pivots = rref(stacked, f)
-        inter = [row[amb:] for row, p in zip(basis, pivots) if p >= amb]
-        return Subspace.from_vectors(f, amb, inter)
+        stacked = np.vstack([
+            np.hstack([self.basis, self.basis]),
+            np.hstack([other.basis, zeros(other.basis.shape, f)]),
+        ])
+        R, pivots = echelon(stacked, f)
+        # The rows pivoting in the right half are already a reduced basis.
+        k = bisect.bisect_left(pivots, amb)
+        return Subspace(f, amb, R[k:, amb:].copy(), [q - amb for q in pivots[k:]])
 
     def preimage(self, A):
         """{x : A x in self} for A given as ambient x n rows."""
-        n = len(A[0]) if A else 0
+        A = as_array(A, self.field)
+        n = A.shape[1]
         E = self.complement_functionals()
-        if not E:
+        if not len(E):
             return Subspace.full_space(self.field, n)
-        EA = mat_mul(E, A, self.field)
-        return Subspace.from_vectors(self.field, n, kernel(EA, self.field, ncols=n))
+        R, pivots = echelon(dot(E, A, self.field), self.field)
+        return Subspace.from_vectors(self.field, n, null_space(R, pivots, n, self.field))

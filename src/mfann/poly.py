@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 Monomial = tuple
 
 __all__ = [
     "Monomial",
     "Polynomial",
     "grlex_key",
+    "grlex_keys",
     "mono_deg",
     "mono_mul",
     "monomials_upto",
@@ -35,6 +38,13 @@ def mono_mul(a, b):
 def grlex_key(m):
     """Sort key: ascending graded-lex (degree first, then lex on exponents)."""
     return (sum(m), m)
+
+
+def grlex_keys(exps, base: int):
+    """Integer keys of exponent rows (last axis) that sort like grlex_key;
+    distinct for distinct rows while every exponent is below base."""
+    weights = base ** np.arange(exps.shape[-1], -1, -1, dtype=np.int64)
+    return np.concatenate([exps.sum(axis=-1)[..., None], exps], axis=-1) @ weights
 
 
 def monomials_of_degree(nvars: int, d: int):

@@ -12,8 +12,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .linalg import rref
-from .poly import Polynomial, grlex_key, mono_deg, mono_mul, monomials_below, parse_poly
+import numpy as np
+
+from .linalg import as_array, dot, echelon, mod, neg, zeros
+from .poly import Polynomial, grlex_keys, monomials_below, parse_poly
 
 
 class SpecError(ValueError):
@@ -68,7 +70,14 @@ class RingSpec:
 
 
 class TruncatedAlgebra:
-    """R_N with an explicit standard-monomial basis and exact reduction."""
+    """R_N with an explicit standard-monomial basis and exact reduction.
+
+    Every monomial of degree < N owns one row of a dense reduction table, in
+    graded-lex order: its coordinate vector over the standard basis (a unit
+    row for a standard monomial).  Rows are located by graded-lex keys in
+    base 2N, unique for products of two monomials of degree < N, so
+    multiplying by a monomial is an index shift into the table.
+    """
 
     def __init__(self, spec: RingSpec, N: int):
         if N < 1:
@@ -76,39 +85,28 @@ class TruncatedAlgebra:
         self.spec = spec
         self.N = N
         field = spec.field
-        nvars = spec.nvars
-        monos = monomials_below(nvars, N)
-        # Columns ordered descending so row reduction pivots on the largest
-        # monomial of each relation, keeping small monomials standard.
-        desc = sorted(monos, key=grlex_key, reverse=True)
-        col = {m: j for j, m in enumerate(desc)}
+        monos = monomials_below(spec.nvars, N)  # ascending graded-lex
+        n = len(monos)
+        exps = np.array(monos, dtype=np.int64).reshape(n, spec.nvars)
+        self._keys = grlex_keys(exps, 2 * N)  # ascending; row n is the zero row
 
-        rel_rows = []
-        min_deg_f = spec.f.min_degree()
-        for u in monomials_below(nvars, max(N - min_deg_f, 0)):
-            row = [field.zero] * len(desc)
-            nonzero = False
-            for m, c in spec.f.terms.items():
-                prod = mono_mul(u, m)
-                if mono_deg(prod) < N:
-                    j = col[prod]
-                    row[j] = field.add(row[j], c)
-                    nonzero = True
-            if nonzero:
-                rel_rows.append(row)
-        basis_rows, pivots = rref(rel_rows, field) if rel_rows else ([], [])
-        pivot_monos = {desc[j] for j in pivots}
-        self.basis = sorted((m for m in monos if m not in pivot_monos), key=grlex_key)
-        self.index = {m: i for i, m in enumerate(self.basis)}
-        # pivot monomial -> coordinate vector over the standard basis
-        self.rewrite = {}
-        for row, j in zip(basis_rows, pivots):
-            vec = [field.zero] * len(self.basis)
-            for jj, c in enumerate(row):
-                if jj == j or c == field.zero:
-                    continue
-                vec[self.index[desc[jj]]] = field.neg(c)
-            self.rewrite[desc[j]] = vec
+        # Terms of f of degree >= N only ever land on the zero row.
+        f_exps, f_coeffs = self._terms(spec.f)
+        us = np.array(monomials_below(spec.nvars, max(N - spec.f.min_degree(), 0)),
+                      dtype=np.int64).reshape(-1, spec.nvars)
+        rel = zeros((len(us), n + 1), field)
+        rel[np.arange(len(us))[:, None], self._locate(us[:, None, :] + f_exps)] = f_coeffs
+        # Columns descending, so row reduction pivots on the largest monomial
+        # of each relation and keeps the small monomials standard.
+        reduced, pivots = echelon(rel[:, n - 1::-1], field)
+        pivot_rows = n - 1 - np.array(pivots, dtype=np.int64)
+        standard = np.setdiff1d(np.arange(n), pivot_rows)
+        self.basis = [monos[i] for i in standard]
+        self._basis_exps = exps[standard]
+        d = len(standard)
+        self.table = zeros((n + 1, d), field)
+        self.table[standard, np.arange(d)] = field.one
+        self.table[pivot_rows] = neg(reduced[:, n - 1 - standard], field)
 
     @property
     def dim(self):
@@ -118,20 +116,24 @@ class TruncatedAlgebra:
     def field(self):
         return self.spec.field
 
+    def _locate(self, exps):
+        """Table rows of the monomials with these exponent rows (any leading
+        shape); monomials of degree >= N land on the zero row."""
+        rows = np.searchsorted(self._keys, grlex_keys(exps, 2 * self.N))
+        return np.where(exps.sum(axis=-1) < self.N, rows, len(self._keys))
+
+    def _terms(self, p: Polynomial):
+        """Exponent rows and coefficients of the terms of p of degree < N."""
+        terms = [(m, c) for m, c in p.terms.items() if sum(m) < self.N]
+        exps = np.array([m for m, _ in terms], dtype=np.int64).reshape(-1, self.spec.nvars)
+        return exps, as_array([c for _, c in terms], self.field)
+
     def reduce(self, p: Polynomial):
-        """Coordinate vector of p in R_N (exact)."""
-        field = self.field
-        coords = [field.zero] * self.dim
-        for m, c in p.terms.items():
-            if mono_deg(m) >= self.N:
-                continue
-            if m in self.index:
-                i = self.index[m]
-                coords[i] = field.add(coords[i], c)
-            else:
-                rw = self.rewrite[m]
-                coords = [field.add(a, field.mul(c, b)) for a, b in zip(coords, rw)]
-        return coords
+        """Coordinate vector of p in R_N (exact), as an array."""
+        exps, coeffs = self._terms(p)
+        if not len(coeffs):
+            return zeros(self.dim, self.field)
+        return dot(coeffs, self.table[self._locate(exps)], self.field)
 
     def lift(self, coords) -> Polynomial:
         """The standard-monomial representative with the given coordinates."""
@@ -143,14 +145,21 @@ class TruncatedAlgebra:
                 terms[m] = c
         return Polynomial(field, self.spec.nvars, terms)
 
-    def reduce_product(self, p: Polynomial, q: Polynomial):
-        return self.reduce(p * q)
-
     def multiplication_operator(self, p: Polynomial):
-        """Matrix of multiplication by p: column j = reduce(p * basis[j])."""
-        field = self.field
-        cols = [self.reduce(p * Polynomial.from_monomial(field, b)) for b in self.basis]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        """Matrix of multiplication by p: column j = reduce(p * basis[j]).
+
+        Its transpose lists the multiples p * basis[j] as rows, which is how
+        ideals are spanned.
+        """
+        field, d = self.field, self.dim
+        exps, coeffs = self._terms(p)
+        rows = self._locate(exps[:, None, :] + self._basis_exps)  # term x basis
+        out = zeros((d, d), field)
+        step = max(1, (1 << 20) // (d * d))  # bounds the gathered block
+        for s in range(0, len(coeffs), step):
+            block = self.table[rows[s:s + step]].reshape(-1, d * d)
+            out = out + dot(coeffs[s:s + step], block, field).reshape(d, d)
+        return mod(out, field).T
 
     def project_from(self, other: "TruncatedAlgebra", coords):
         """Image in self of an element of a finer truncation of the same ring."""

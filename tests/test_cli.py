@@ -49,6 +49,26 @@ def test_ann_config_error_exit_one(capsys):
     assert "error" in err
 
 
+def test_field_above_int64_bound_exit_one(capsys):
+    # 2147483659 is the first prime above 2^31
+    code, out, err = run(capsys, "ann", "a-inf-1/phi?n=1", "--field", "fp:2147483659")
+    assert code == 1 and out == ""
+    assert "2^31" in err
+
+
+def test_invariant_failure_exit_three(capsys, monkeypatch):
+    from mfann import cli
+    from mfann.fields import InvariantError
+
+    def broken(*_args):
+        raise InvariantError("truncated annihilator is not an ideal")
+
+    monkeypatch.setattr(cli, "annihilate", broken)
+    code, out, err = run(capsys, "ann", "a-inf-1/phi?n=1")
+    assert code == 3 and out == ""
+    assert "invariant" in err and "Traceback" not in err
+
+
 def test_unknown_selector_exit_one(capsys):
     code, _out, _err = run(capsys, "ann", "a-inf-1/zeta?n=1")
     assert code == 1

@@ -35,6 +35,14 @@ def test_prime_field_rejects_composite_and_two():
         PrimeField(2)
 
 
+def test_prime_field_rejects_int64_unsafe_primes():
+    assert PrimeField(2**31 - 1).p == 2147483647
+    with pytest.raises(FieldError):
+        PrimeField(2147483659)  # the first prime above 2^31
+    with pytest.raises(FieldError):
+        PrimeField(10**19 + 1)  # rejected by the bound, before any primality test
+
+
 def test_imaginary_unit_validated():
     assert PrimeField(13, 5).imaginary_unit == 5
     assert PrimeField(13, 8).imaginary_unit == 8  # the other root

@@ -76,6 +76,16 @@ def test_solve_affine_inconsistent():
     assert solve_affine([[1, 0], [1, 0]], [1, 2], F13) is None
 
 
+def test_int64_products_at_the_largest_prime():
+    F = PrimeField(2**31 - 1)
+    p = F.p
+    # four products (p-1)^2 = 1 mod p; their raw sum overflows int64
+    assert mat_mul([[p - 1] * 4], [[p - 1]] * 4, F) == [[4]]
+    red, pivots = rref([[p - 1, p - 2], [p - 2, p - 1]], F)
+    assert pivots == [0, 1] and red == [[1, 0], [0, 1]]
+    assert solve_affine([[p - 1, p - 1]], [1], F)[0] == [p - 1, 0]
+
+
 def test_rationals_rref_exact():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 6)]]
     red, pivots = rref(rows, QQ)
