@@ -72,14 +72,6 @@ class Witness:
             + [e.degree() for row in self.beta for e in row]
         )
 
-    def to_json(self, spec) -> dict:
-        return {
-            "r": spec.format(self.r),
-            "alpha": [[spec.format(e) for e in row] for row in self.alpha],
-            "beta": [[spec.format(e) for e in row] for row in self.beta],
-            "gamma": [[spec.format(e) for e in row] for row in self.gamma],
-        }
-
 
 def row_col_bound(mf: MatrixFactorization):
     """The ideals J_k = (row k of phi) + (column k of psi); their intersection
@@ -324,21 +316,6 @@ class AnnihilatorResult:
     upper_dim: int
     status: str  # certified-exact | bounded-gap | undetermined
     subspace: Subspace = dc_field(repr=False, default=None)
-
-    def to_json(self, spec) -> dict:
-        return {
-            "label": self.label,
-            "N": self.N,
-            "D": self.D,
-            "lower": [
-                {"gen": spec.format(g), "witness": w.to_json(spec)} for g, w in self.lower
-            ],
-            "upper": {
-                "generators": [spec.format(g) for g in self.upper_generators],
-                "dim": self.upper_dim,
-            },
-            "status": self.status,
-        }
 
 
 def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:

@@ -106,46 +106,36 @@ def _render_text(report, indent=0):
 # ---------------------------------------------------------------------------
 
 
+def _validation_item(mf):
+    """Validate one factorization: its report entry and whether it passed."""
+    rep = validate(mf)
+    item = {"label": mf.label, "valid": rep.ok}
+    if not rep.ok:
+        item["violation"] = {
+            "product": rep.product,
+            "entry": list(rep.entry),
+            "got": rep.got,
+            "expected": rep.expected,
+        }
+    return item, rep.ok
+
+
 def _validate_payload(ring_id, field, n_max):
-    entries = []
-    ok = True
-    for entry in _iter_entries(ring_id, field, n_max):
-        rep = validate(entry.mf)
-        item = {"label": entry.mf.label, "valid": rep.ok}
-        if not rep.ok:
-            ok = False
-            item["violation"] = {
-                "product": rep.product,
-                "entry": list(rep.entry),
-                "got": rep.got,
-                "expected": rep.expected,
-            }
-        entries.append(item)
-    return entries, ok
+    items = [_validation_item(entry.mf) for entry in _iter_entries(ring_id, field, n_max)]
+    return [item for item, _ok in items], all(ok for _item, ok in items)
 
 
 def cmd_validate(args) -> int:
     field = parse_field_flag(args.field)
     if args.json:
         with open(args.json) as fh:
-            mf = MatrixFactorization.from_json(json.load(fh))
-        rep = validate(mf)
-        payload = [{"label": mf.label, "valid": rep.ok}]
-        if not rep.ok:
-            payload[0]["violation"] = {
-                "product": rep.product,
-                "entry": list(rep.entry),
-                "got": rep.got,
-                "expected": rep.expected,
-            }
-        ok = rep.ok
+            item, ok = _validation_item(MatrixFactorization.from_json(json.load(fh)))
+        payload = [item]
     elif args.selector in RING_IDS:
         payload, ok = _validate_payload(args.selector, field, args.n_max)
     elif args.selector:
-        entry = parse_selector(args.selector, field, default_n=1)
-        rep = validate(entry.mf)
-        payload = [{"label": entry.mf.label, "valid": rep.ok}]
-        ok = rep.ok
+        item, ok = _validation_item(parse_selector(args.selector, field, default_n=1).mf)
+        payload = [item]
     else:
         raise CatalogError("validate needs a ring, a selector, or --json FILE")
     report = {
@@ -157,6 +147,13 @@ def cmd_validate(args) -> int:
     }
     _emit(report, args)
     return 0 if ok else 2
+
+
+def _witness_degree(args, entry):
+    """The -D flag, else n + 2 for a parametric entry and 3 otherwise."""
+    if args.witness_degree is not None:
+        return args.witness_degree
+    return entry.n + 2 if entry.n is not None else 3
 
 
 def _ann_payload(entry, N, D):
@@ -182,10 +179,7 @@ def _ann_payload(entry, N, D):
 def cmd_ann(args) -> int:
     field = parse_field_flag(args.field)
     entry = parse_selector(args.selector, field)
-    D = args.witness_degree
-    if D is None:
-        D = (entry.n + 2) if entry.n is not None else 3
-    payload, ok = _ann_payload(entry, args.trunc, D)
+    payload, ok = _ann_payload(entry, args.trunc, _witness_degree(args, entry))
     report = {
         "schema": SCHEMA,
         "command": "ann",
@@ -198,7 +192,7 @@ def cmd_ann(args) -> int:
 
 
 def _topology_payload(ring_id, field, N, n_max, D, subfamily):
-    family = build_family(ring_id, field, N, subfamily=subfamily, D=D)
+    family = build_family(ring_id, field, N, subfamily=subfamily)
     verdict = compactness_verdict(family, n_max=n_max, D=D)
     payload = verdict.to_json()
     payload["ring"] = ring_id
@@ -289,10 +283,7 @@ def cmd_reproduce_paper(args) -> int:
         val_entries, val_ok = _validate_payload(ring_id, field, n_max)
         ann_entries = []
         for entry in _iter_entries(ring_id, field, n_max):
-            D = args.witness_degree
-            if D is None:
-                D = (entry.n + 2) if entry.n is not None else 3
-            payload, ok = _ann_payload(entry, N, D)
+            payload, ok = _ann_payload(entry, N, _witness_degree(args, entry))
             ann_entries.append(payload)
             if not ok and first_diff is None:
                 first_diff = (

@@ -1,50 +1,16 @@
 """Standard module families for the four countable-type rings.
 
-Builds AnnFamily inputs for the compactness layer, either from the
-catalog's expected annihilators or from freshly computed ones.
+Builds AnnFamily inputs for the compactness layer from the catalog's
+expected annihilators.
 """
 
 from __future__ import annotations
 
 from .alexandrov import AnnFamily
-from .annihilator import annihilate
 from .ideals import IdealSpec, ParametricIdealFamily
-from .mf import CatalogError, catalog, ring_spec
+from .mf import CatalogError, catalog, catalog_table, ring_spec
 
 __all__ = ["family_layout", "build_family"]
-
-# ring -> (finite labels, parametric: label -> (fixed gens, tail base, offset, limit gens))
-_LAYOUT = {
-    "a-inf-1": (
-        ["R/xR"],
-        {"phi": (["x"], "y", 0, ["x"])},
-    ),
-    "a-inf-2": (
-        ["R/(z-ix)", "R/(z+ix)"],
-        {
-            "psi+": (["x", "z"], "y", 0, ["x", "z"]),
-            "psi-": (["x", "z"], "y", 0, ["x", "z"]),
-        },
-    ),
-    "d-inf-1": (
-        ["R/xR", "R/xyR", "R/yR", "R/x^2R", "sum(R/xR,R/yR)"],
-        {
-            "alpha": (["x"], "y", 0, ["x"]),
-            "beta": (["x"], "y", 0, ["x"]),
-            "gamma": (["x^2", "x*y"], "y", 1, ["x^2", "x*y"]),
-            "delta": (["x^2", "x*y"], "y", 1, ["x^2", "x*y"]),
-        },
-    ),
-    "d-inf-2": (
-        ["alpha+", "alpha-", "beta+", "beta-", "sum(alpha-,beta-)"],
-        {
-            "gamma+": (["x", "z"], "y", 1, ["x", "z"]),
-            "gamma-": (["x", "z"], "y", 1, ["x", "z"]),
-            "delta+": (["x^2", "x*y", "z"], "y", 1, ["x^2", "x*y", "z"]),
-            "delta-": (["x^2", "x*y", "z"], "y", 1, ["x^2", "x*y", "z"]),
-        },
-    ),
-}
 
 # expected verdict and witness for the full lcm family of each ring
 EXPECTED_VERDICTS = {
@@ -56,9 +22,23 @@ EXPECTED_VERDICTS = {
 
 
 def family_layout(ring_id: str):
-    if ring_id not in _LAYOUT:
-        raise CatalogError(f"unknown ring {ring_id!r}")
-    return _LAYOUT[ring_id]
+    """(finite labels, parametric: label -> (fixed gens, tail base, offset,
+    limit gens)), read off the catalog table.
+
+    The finite labels are the non-parametric ones.  A parametric entry's
+    annihilator generators in n give the tail base^(n+offset); the others
+    are both the fixed generators and the limit of the family.
+    """
+    finite, parametric = [], {}
+    for label, (is_parametric, _phi, _psi, ann, _free) in catalog_table(ring_id).items():
+        if not is_parametric:
+            finite.append(label)
+            continue
+        fixed = [g for g in ann if "{" not in g]
+        (tail,) = [g for g in ann if "{" in g]
+        base, offset = tail.format(n=0, n1=1).split("^")
+        parametric[label] = (fixed, base, int(offset), list(fixed))
+    return finite, parametric
 
 
 def build_family(
@@ -66,20 +46,18 @@ def build_family(
     field=None,
     N: int = 10,
     subfamily: str = "all",
-    computed: bool = False,
     D: int = 4,
 ) -> AnnFamily:
     """AnnFamily for a ring.
 
     subfamily 'cm0' restricts to the members locally free on the punctured
-    spectrum (the cok phi_n of the A-type dimension-one ring).  With
-    computed=True the finite members carry annihilators computed by the
-    engine instead of the catalog's expected table.
+    spectrum (the cok phi_n of the A-type dimension-one ring).  D is unused:
+    it only served the deleted computed-annihilator path, and is still
+    accepted so that callers passing it keep working.
     """
     spec = ring_spec(ring_id, field)
     finite_labels, parametric_defs = family_layout(ring_id)
 
-    members = []
     if subfamily == "cm0":
         finite_labels = [
             lab for lab in finite_labels
@@ -94,14 +72,8 @@ def build_family(
     elif subfamily != "all":
         raise CatalogError(f"unknown subfamily {subfamily!r}")
 
-    for lab in finite_labels:
-        entry = catalog(ring_id, lab, None, field)
-        if computed:
-            res = annihilate(entry.mf, N, D)
-            ideal = IdealSpec(spec, tuple(res.upper_generators), name=f"Ann({lab})")
-        else:
-            ideal = entry.expected_annihilator
-        members.append((lab, ideal))
+    members = [(lab, catalog(ring_id, lab, None, field).expected_annihilator)
+               for lab in finite_labels]
 
     parametric = []
     for lab, (fixed, tail, offset, limit) in parametric_defs.items():

@@ -151,13 +151,10 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
     complete local ring by Krull intersection.  Otherwise undetermined.
     """
     algebra = build_truncation(ideal.spec, N)
-    space = truncate_ideal(ideal, algebra)
-    if not space.contains(algebra.reduce(p)):
-        return MemberResult("no-certified")
     spec = ideal.spec
     f = spec.field
     gens = list(ideal.generators) + [spec.f]
-    monos = np.array(monomials_upto(spec.nvars, D), dtype=np.int64)
+    monos = np.array(monomials_upto(spec.nvars, D), dtype=np.int64).reshape(-1, spec.nvars)
     # one unknown per (generator, monomial) cofactor coefficient, one
     # equation per monomial reached; the equation order does not change the
     # canonical solution
@@ -174,6 +171,10 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
     b[np.searchsorted(support, keys[-1])] = list(p.terms.values())
     sol = solve(A, b, f)
     if sol is None:
+        # exact cofactors put reduce(p) inside the truncated ideal, so the
+        # truncation is only needed when the solve fails
+        if not truncate_ideal(ideal, algebra).contains(algebra.reduce(p)):
+            return MemberResult("no-certified")
         return MemberResult("undetermined")
     particular = sol[0].reshape(len(gens), len(monos))
     cofactors = tuple(

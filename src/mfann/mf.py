@@ -2,8 +2,9 @@
 
 A matrix factorization is a pair (phi, psi) of n x n polynomial matrices
 with phi*psi = psi*phi = f*I; it presents the maximal Cohen-Macaulay module
-cok(phi).  The catalog hard-codes the complete lists of indecomposables for
-the four countable-representation-type rings
+cok(phi).  The catalog is one table of the complete lists of
+indecomposables (after Buchweitz-Greuel-Schreyer) for the four
+countable-representation-type rings
 
     a-inf-1: k[[x,y]]/(x^2)        a-inf-2: k[[x,y,z]]/(x^2+z^2)
     d-inf-1: k[[x,y]]/(x^2 y)      d-inf-2: k[[x,y,z]]/(x^2 y+z^2)
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldError, default_field
+from .fields import default_field
 from .ideals import IdealSpec
 from .poly import Polynomial, parse_poly
 from .truncation import RingSpec, SpecError
@@ -31,6 +32,7 @@ __all__ = [
     "ring_spec",
     "catalog",
     "catalog_labels",
+    "catalog_table",
     "RING_IDS",
     "parse_selector",
 ]
@@ -210,217 +212,104 @@ class CatalogEntry:
         return f"{'a' if self.family == 'A-inf' else 'd'}-inf-{self.dim}"
 
 
-def _mat(spec, rows):
-    return tuple(tuple(spec.poly(e) for e in row) for row in rows)
-
-
-def _i_str(spec):
-    i = spec.field.imaginary_unit
-    if i is None:
-        raise CatalogError(
-            "this catalog entry needs a square root of -1; "
-            "the configured field has none"
-        )
-    return spec.field.fmt(i)
-
-
-# label -> (parametric?, builder(spec, n) -> (phi_rows, psi_rows, ann_gens, locally_free))
-
-def _a1_entries():
-    def rxr(spec, n):
-        return [["x"]], [["x"]], ["x"], False
-
-    def phi(spec, n):
-        m = [["x", f"y^{n}"], ["0", "-x"]]
-        return m, m, ["x", f"y^{n}"], True
-
-    return {"R/xR": (False, rxr), "phi": (True, phi)}
-
-
-def _a2_entries():
-    def r_minus(spec, n):
-        i = _i_str(spec)
-        return [[f"z-{i}*x"]], [[f"z+{i}*x"]], ["x", "z"], False
-
-    def r_plus(spec, n):
-        i = _i_str(spec)
-        return [[f"z+{i}*x"]], [[f"z-{i}*x"]], ["x", "z"], False
-
-    def psi_pair(spec, n):
-        i = _i_str(spec)
-        plus = [[f"z-{i}*x", f"y^{n}"], ["0", f"z+{i}*x"]]
-        minus = [[f"z+{i}*x", f"-y^{n}"], ["0", f"z-{i}*x"]]
-        return plus, minus
-
-    def psi_p(spec, n):
-        plus, minus = psi_pair(spec, n)
-        return plus, minus, ["x", f"y^{n}", "z"], False
-
-    def psi_m(spec, n):
-        plus, minus = psi_pair(spec, n)
-        return minus, plus, ["x", f"y^{n}", "z"], False
-
-    return {
-        "R/(z-ix)": (False, r_minus),
-        "R/(z+ix)": (False, r_plus),
-        "psi+": (True, psi_p),
-        "psi-": (True, psi_m),
-    }
-
-
-def _d1_mats(n):
-    alpha = [["x*y", f"y^{n}"], ["0", "-x"]]
-    beta = [["x", f"y^{n}"], ["0", "-x*y"]]
-    gamma = [["x", f"y^{n}"], ["0", "-x"]]
-    delta = [["x*y", f"y^{n + 1}"], ["0", "-x*y"]]
-    return alpha, beta, gamma, delta
-
-
-def _d1_entries():
-    def simple(phi, psi, ann):
-        def build(spec, n):
-            return [[phi]], [[psi]], ann, False
-        return build
-
-    def alpha(spec, n):
-        a, b, _g, _d = _d1_mats(n)
-        return a, b, ["x", f"y^{n}"], False
-
-    def beta(spec, n):
-        a, b, _g, _d = _d1_mats(n)
-        return b, a, ["x", f"y^{n}"], False
-
-    def gamma(spec, n):
-        _a, _b, g, d = _d1_mats(n)
-        return g, d, ["x^2", "x*y", f"y^{n + 1}"], False
-
-    def delta(spec, n):
-        _a, _b, g, d = _d1_mats(n)
-        return d, g, ["x^2", "x*y", f"y^{n + 1}"], False
-
-    return {
-        "R/xR": (False, simple("x", "x*y", ["x"])),
-        "R/xyR": (False, simple("x*y", "x", ["x"])),
-        "R/yR": (False, simple("y", "x^2", ["x^2", "y"])),
-        "R/x^2R": (False, simple("x^2", "y", ["x^2", "y"])),
-        "alpha": (True, alpha),
-        "beta": (True, beta),
-        "gamma": (True, gamma),
-        "delta": (True, delta),
-    }
-
-
-def _d2_mats(n):
-    alpha_p = [["z", "y"], ["-x^2", "z"]]
-    alpha_m = [["z", "-y"], ["x^2", "z"]]
-    beta_p = [["z", "x*y"], ["-x", "z"]]
-    beta_m = [["z", "-x*y"], ["x", "z"]]
-    gamma_p = [
-        ["z", "0", "x*y", "0"],
-        ["0", "z", f"y^{n + 1}", "-x"],
-        ["-x", "0", "z", "0"],
-        [f"-y^{n + 1}", "x*y", "0", "z"],
-    ]
-    gamma_m = [
-        ["z", "0", "-x*y", "0"],
-        ["0", "z", f"-y^{n + 1}", "x"],
-        ["x", "0", "z", "0"],
-        [f"y^{n + 1}", "-x*y", "0", "z"],
-    ]
-    delta_p = [
-        ["z", "0", "x*y", "0"],
-        ["0", "z", f"y^{n + 1}", "-x*y"],
-        ["-x", "0", "z", "0"],
-        [f"-y^{n}", "x", "0", "z"],
-    ]
-    delta_m = [
-        ["z", "0", "-x*y", "0"],
-        ["0", "z", f"-y^{n + 1}", "x*y"],
-        ["x", "0", "z", "0"],
-        [f"y^{n}", "-x", "0", "z"],
-    ]
-    return alpha_p, alpha_m, beta_p, beta_m, gamma_p, gamma_m, delta_p, delta_m
-
-
-def _d2_entries():
-    def make(index_phi, index_psi, ann, parametric):
-        def build(spec, n):
-            mats = _d2_mats(n if n is not None else 1)
-            return mats[index_phi], mats[index_psi], list(ann), False
-        return parametric, build
-
-    ann_alpha = ["x^2", "y", "z"]
-    ann_beta = ["x", "z"]
-    return {
-        "alpha+": make(0, 1, ann_alpha, False),
-        "alpha-": make(1, 0, ann_alpha, False),
-        "beta+": make(2, 3, ann_beta, False),
-        "beta-": make(3, 2, ann_beta, False),
-        "gamma+": make(4, 5, ["x", "y^{n_plus_1}", "z"], True),
-        "gamma-": make(5, 4, ["x", "y^{n_plus_1}", "z"], True),
-        "delta+": make(6, 7, ["x^2", "x*y", "y^{n_plus_1}", "z"], True),
-        "delta-": make(7, 6, ["x^2", "x*y", "y^{n_plus_1}", "z"], True),
-    }
-
-
-_ENTRY_TABLES = {
-    "a-inf-1": _a1_entries(),
-    "a-inf-2": _a2_entries(),
-    "d-inf-1": _d1_entries(),
-    "d-inf-2": _d2_entries(),
+# The catalog: ring -> label -> (parametric?, phi, psi, annihilator
+# generators, locally free on the punctured spectrum?), in catalog order.
+# Matrices are rows separated by ";" of entries separated by spaces.  Every
+# string is a format string in n, n1 = n + 1 and i = sqrt(-1).  A direct sum
+# names its two summands in place of phi and psi.  A parametric entry's
+# annihilator has exactly one generator in n, a pure power of a variable.
+_CATALOG = {
+    "a-inf-1": {
+        "R/xR": (False, "x", "x", ["x"], False),
+        "phi": (True, "x y^{n}; 0 -x", "x y^{n}; 0 -x", ["x", "y^{n}"], True),
+    },
+    "a-inf-2": {
+        "R/(z-ix)": (False, "z-{i}*x", "z+{i}*x", ["x", "z"], False),
+        "R/(z+ix)": (False, "z+{i}*x", "z-{i}*x", ["x", "z"], False),
+        "psi+": (True, "z-{i}*x y^{n}; 0 z+{i}*x", "z+{i}*x -y^{n}; 0 z-{i}*x",
+                 ["x", "y^{n}", "z"], False),
+        "psi-": (True, "z+{i}*x -y^{n}; 0 z-{i}*x", "z-{i}*x y^{n}; 0 z+{i}*x",
+                 ["x", "y^{n}", "z"], False),
+    },
+    "d-inf-1": {
+        "R/xR": (False, "x", "x*y", ["x"], False),
+        "R/xyR": (False, "x*y", "x", ["x"], False),
+        "R/yR": (False, "y", "x^2", ["x^2", "y"], False),
+        "R/x^2R": (False, "x^2", "y", ["x^2", "y"], False),
+        "alpha": (True, "x*y y^{n}; 0 -x", "x y^{n}; 0 -x*y", ["x", "y^{n}"], False),
+        "beta": (True, "x y^{n}; 0 -x*y", "x*y y^{n}; 0 -x", ["x", "y^{n}"], False),
+        "gamma": (True, "x y^{n}; 0 -x", "x*y y^{n1}; 0 -x*y", ["x^2", "x*y", "y^{n1}"], False),
+        "delta": (True, "x*y y^{n1}; 0 -x*y", "x y^{n}; 0 -x", ["x^2", "x*y", "y^{n1}"], False),
+        "sum(R/xR,R/yR)": (False, "R/xR", "R/yR", ["x^2", "x*y"], False),
+    },
+    "d-inf-2": {
+        "alpha+": (False, "z y; -x^2 z", "z -y; x^2 z", ["x^2", "y", "z"], False),
+        "alpha-": (False, "z -y; x^2 z", "z y; -x^2 z", ["x^2", "y", "z"], False),
+        "beta+": (False, "z x*y; -x z", "z -x*y; x z", ["x", "z"], False),
+        "beta-": (False, "z -x*y; x z", "z x*y; -x z", ["x", "z"], False),
+        "gamma+": (True, "z 0 x*y 0; 0 z y^{n1} -x; -x 0 z 0; -y^{n1} x*y 0 z",
+                   "z 0 -x*y 0; 0 z -y^{n1} x; x 0 z 0; y^{n1} -x*y 0 z",
+                   ["x", "y^{n1}", "z"], False),
+        "gamma-": (True, "z 0 -x*y 0; 0 z -y^{n1} x; x 0 z 0; y^{n1} -x*y 0 z",
+                   "z 0 x*y 0; 0 z y^{n1} -x; -x 0 z 0; -y^{n1} x*y 0 z",
+                   ["x", "y^{n1}", "z"], False),
+        "delta+": (True, "z 0 x*y 0; 0 z y^{n1} -x*y; -x 0 z 0; -y^{n} x 0 z",
+                   "z 0 -x*y 0; 0 z -y^{n1} x*y; x 0 z 0; y^{n} -x 0 z",
+                   ["x^2", "x*y", "y^{n1}", "z"], False),
+        "delta-": (True, "z 0 -x*y 0; 0 z -y^{n1} x*y; x 0 z 0; y^{n} -x 0 z",
+                   "z 0 x*y 0; 0 z y^{n1} -x*y; -x 0 z 0; -y^{n} x 0 z",
+                   ["x^2", "x*y", "y^{n1}", "z"], False),
+        "sum(alpha-,beta-)": (False, "alpha-", "beta-", ["x^2", "x*y", "z"], False),
+    },
 }
 
-# direct-sum objects named in the compactness statements
-_SUM_LABELS = {
-    "d-inf-1": {"sum(R/xR,R/yR)": (("R/xR", None), ("R/yR", None), ["x^2", "x*y"])},
-    "d-inf-2": {"sum(alpha-,beta-)": (("alpha-", None), ("beta-", None), ["x^2", "x*y", "z"])},
-}
+
+def catalog_table(ring_id: str) -> dict:
+    """The catalog rows of a ring: label -> (parametric?, phi, psi,
+    annihilator generators, locally free?), in catalog order."""
+    if ring_id not in _CATALOG:
+        raise CatalogError(f"unknown ring {ring_id!r}")
+    return _CATALOG[ring_id]
 
 
 def catalog_labels(ring_id: str):
     """(label, parametric?) pairs for a ring, in catalog order."""
-    if ring_id not in _ENTRY_TABLES:
-        raise CatalogError(f"unknown ring {ring_id!r}")
-    out = [(label, entry[0]) for label, entry in _ENTRY_TABLES[ring_id].items()]
-    out.extend((label, False) for label in _SUM_LABELS.get(ring_id, {}))
-    return out
+    return [(label, row[0]) for label, row in catalog_table(ring_id).items()]
 
 
 def catalog(ring_id: str, label: str, n: int | None = None, field=None) -> CatalogEntry:
     """Look up a catalog entry; n is required for parametric labels."""
-    if ring_id not in _ENTRY_TABLES:
-        raise CatalogError(f"unknown ring {ring_id!r}")
+    table = catalog_table(ring_id)
     spec = ring_spec(ring_id, field)
-    family = "A-inf" if ring_id.startswith("a") else "D-inf"
-    dim = int(ring_id[-1])
-
-    sums = _SUM_LABELS.get(ring_id, {})
-    if label in sums:
-        (la, na), (lb, nb), ann = sums[label]
-        a = catalog(ring_id, la, na, field)
-        b = catalog(ring_id, lb, nb, field)
-        mf = direct_sum(a.mf, b.mf)
-        mf = MatrixFactorization(mf.spec, mf.n, mf.phi, mf.psi, f"{ring_id}/{label}")
-        return CatalogEntry(
-            family, dim, label, None, mf,
-            IdealSpec.from_strings(spec, ann, name=f"Ann({label})"), False,
-        )
-
-    table = _ENTRY_TABLES[ring_id]
     if label not in table:
         raise CatalogError(f"unknown label {label!r} for ring {ring_id}")
-    parametric, build = table[label]
+    parametric, phi, psi, ann, locally_free = table[label]
     if parametric and n is None:
         raise CatalogError(f"label {label!r} is parametric: n is required")
     if not parametric:
         n = None
-    phi_rows, psi_rows, ann_gens, locally_free = build(spec, n)
-    ann_gens = [g.replace("{n_plus_1}", str((n or 0) + 1)) for g in ann_gens]
     mf_label = f"{ring_id}/{label}" + (f"?n={n}" if n is not None else "")
-    mf = MatrixFactorization(spec, len(phi_rows), _mat(spec, phi_rows),
-                             _mat(spec, psi_rows), mf_label)
-    expected = IdealSpec.from_strings(spec, ann_gens, name=f"Ann({label})")
-    return CatalogEntry(family, dim, label, n, mf, expected, locally_free)
+    values = {"n": n, "n1": None if n is None else n + 1}
+    if phi in table:
+        summed = direct_sum(catalog(ring_id, phi, None, field).mf,
+                            catalog(ring_id, psi, None, field).mf)
+        mats = summed.phi, summed.psi
+    else:
+        if "{i}" in phi + psi:
+            if spec.field.imaginary_unit is None:
+                raise CatalogError(
+                    "this catalog entry needs a square root of -1; "
+                    "the configured field has none"
+                )
+            values["i"] = spec.field.fmt(spec.field.imaginary_unit)
+        mats = [tuple(tuple(spec.poly(e) for e in row.split())
+                      for row in text.format(**values).split(";"))
+                for text in (phi, psi)]
+    mf = MatrixFactorization(spec, len(mats[0]), *mats, mf_label)
+    expected = IdealSpec.from_strings(spec, [g.format(**values) for g in ann],
+                                      name=f"Ann({label})")
+    family = "A-inf" if ring_id.startswith("a") else "D-inf"
+    return CatalogEntry(family, int(ring_id[-1]), label, n, mf, expected, locally_free)
 
 
 def parse_selector(selector: str, field=None, default_n=None):

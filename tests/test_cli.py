@@ -118,3 +118,17 @@ def test_reproduce_reduced_and_deterministic(tmp_path, capsys):
     assert report["pass"] is True and set(report["rings"]) == {
         "a-inf-1", "a-inf-2", "d-inf-1", "d-inf-2"
     }
+
+
+def test_validate_selector_reports_violation(capsys, monkeypatch):
+    from mfann import cli
+    from mfann.mf import ValidationReport
+
+    monkeypatch.setattr(cli, "validate", lambda mf: ValidationReport(
+        False, "phi*psi", (1, 2), "x", "0"))
+    code, out, _ = run(capsys, "validate", "a-inf-1/phi?n=2")
+    assert code == 2
+    (entry,) = json.loads(out)["entries"]
+    assert entry["label"] == "a-inf-1/phi?n=2" and entry["valid"] is False
+    assert entry["violation"] == {
+        "product": "phi*psi", "entry": [1, 2], "got": "x", "expected": "0"}

@@ -49,6 +49,12 @@ def test_member_no_certified():
     assert not res.is_member
 
 
+def test_member_without_cofactor_window():
+    # D < 0 leaves no cofactor unknowns: the truncation alone decides
+    assert member(XXY.poly("y"), I(XXY, "x"), N=8, D=-1).status == "no-certified"
+    assert member(XXY.poly("x*y"), I(XXY, "x"), N=8, D=-1).status == "undetermined"
+
+
 def test_truncate_ideal_dimension():
     algebra = build_truncation(XX, 6)  # dim 11: 1, y..y^5, x, xy..xy^4
     space = truncate_ideal(I(XX, "x"), algebra)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mfann.families import family_layout
 from mfann.fields import PrimeField, Rationals
 from mfann.mf import (
     RING_IDS,
@@ -124,3 +125,54 @@ def test_locally_free_flag():
 def test_ring_spec_equations():
     assert ring_spec("a-inf-1", F13).format(ring_spec("a-inf-1", F13).f) == "x^2"
     assert ring_spec("d-inf-2", F13).format(ring_spec("d-inf-2", F13).f) == "x^2*y + z^2"
+
+
+# ring -> (finite labels, parametric: label -> (fixed gens, tail base, offset, limit gens))
+FAMILY_LAYOUTS = {
+    "a-inf-1": (
+        ["R/xR"],
+        {"phi": (["x"], "y", 0, ["x"])},
+    ),
+    "a-inf-2": (
+        ["R/(z-ix)", "R/(z+ix)"],
+        {
+            "psi+": (["x", "z"], "y", 0, ["x", "z"]),
+            "psi-": (["x", "z"], "y", 0, ["x", "z"]),
+        },
+    ),
+    "d-inf-1": (
+        ["R/xR", "R/xyR", "R/yR", "R/x^2R", "sum(R/xR,R/yR)"],
+        {
+            "alpha": (["x"], "y", 0, ["x"]),
+            "beta": (["x"], "y", 0, ["x"]),
+            "gamma": (["x^2", "x*y"], "y", 1, ["x^2", "x*y"]),
+            "delta": (["x^2", "x*y"], "y", 1, ["x^2", "x*y"]),
+        },
+    ),
+    "d-inf-2": (
+        ["alpha+", "alpha-", "beta+", "beta-", "sum(alpha-,beta-)"],
+        {
+            "gamma+": (["x", "z"], "y", 1, ["x", "z"]),
+            "gamma-": (["x", "z"], "y", 1, ["x", "z"]),
+            "delta+": (["x^2", "x*y", "z"], "y", 1, ["x^2", "x*y", "z"]),
+            "delta-": (["x^2", "x*y", "z"], "y", 1, ["x^2", "x*y", "z"]),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("ring_id", RING_IDS)
+def test_family_layout_read_off_catalog_table(ring_id):
+    finite, parametric = family_layout(ring_id)
+    assert (finite, parametric) == FAMILY_LAYOUTS[ring_id]
+    assert list(parametric) == list(FAMILY_LAYOUTS[ring_id][1])
+    with pytest.raises(CatalogError):
+        family_layout("x-inf-9")
+
+
+def test_direct_sum_entries_come_from_their_summands():
+    entry = catalog("d-inf-2", "sum(alpha-,beta-)", 4, F13)
+    assert entry.n is None and entry.mf.label == "d-inf-2/sum(alpha-,beta-)"
+    expected = direct_sum(entry_mf("d-inf-2", "alpha-"), entry_mf("d-inf-2", "beta-"))
+    assert (entry.mf.phi, entry.mf.psi) == (expected.phi, expected.psi)
+    assert entry.expected_annihilator.format() == "(x^2, x*y, z)"
