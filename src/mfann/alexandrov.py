@@ -11,11 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .fields import InvariantError
 from .ideals import (
     IdealSpec,
     ParametricIdealFamily,
     extract_generators,
+    generator_rows,
     is_m_primary,
     limit_of_chain,
     member,
@@ -63,28 +66,37 @@ def _truncations(family: AnnFamily, n_max: int):
 
 
 def build_preorder(family: AnnFamily, n_max: int = 5, spaces=None):
-    """Edges (X, Y) with Ann(X) <= Ann(Y) at truncation; reflexive and
-    transitive by construction, checked afterwards.  `spaces`, the members'
-    truncated subspaces by label, saves computing them again."""
+    """Edges (X, Y) with Ann(X) <= Ann(Y) at truncation, X-major in member
+    order; reflexive and transitive by construction, checked afterwards.
+
+    Containment is decided on generators, exactly: the truncation of Ann(Y)
+    is an ideal of R_N, and the truncation of Ann(X) is the ideal of R_N
+    generated by the reduced generators of Ann(X), so the first contains the
+    second exactly when it contains those few rows.  One residual per member
+    Y tests the stacked generator rows of every X at once.  `spaces`, the
+    members' truncated subspaces by label, saves computing them again.
+    """
     if not family.members and not family.parametric:
         raise SpecError("empty family")
+    algebra = build_truncation(family.ring, family.N)
+    ideals = dict(family.expanded(n_max))
     if spaces is None:
-        spaces = _truncations(family, n_max)[2]
-    labels = list(spaces)
-    edges = []
-    for a in labels:
-        for b in labels:
-            if spaces[a].is_subspace_of(spaces[b]):
-                edges.append((a, b))
-    eset = set(edges)
-    for a in labels:
-        if (a, a) not in eset:
-            raise InvariantError("preorder not reflexive")
-    for a, b in edges:
-        for c in labels:
-            if (b, c) in eset and (a, c) not in eset:
-                raise InvariantError("preorder not transitive")
-    return edges
+        spaces = {lab: truncate_ideal(ideal, algebra) for lab, ideal in ideals.items()}
+    labels = list(ideals)
+    rows = [generator_rows(ideal, algebra) for ideal in ideals.values()]
+    owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    stacked = np.vstack(rows)
+    # below[a, b]: no generator row of member a lies outside member b
+    below = np.empty((len(labels), len(labels)), dtype=bool)
+    for b, lab in enumerate(labels):
+        outside = np.count_nonzero(spaces[lab].residual(stacked), axis=1)
+        below[:, b] = np.bincount(owner, weights=outside, minlength=len(labels)) == 0
+    if not below.diagonal().all():
+        raise InvariantError("preorder not reflexive")
+    paths = below.astype(np.int64)
+    if ((paths @ paths > 0) & ~below).any():
+        raise InvariantError("preorder not transitive")
+    return [(labels[a], labels[b]) for a, b in zip(*np.nonzero(below))]
 
 
 def closure(family: AnnFamily, label: str, n_max: int = 5):
@@ -209,10 +221,11 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
             )
 
     # strictly descending parametric chain with unattained intersection
+    below = set(edges)
     for label, fam, _limit in family.parametric:
         chain = [f"{label}[n={n}]" for n in range(1, n_max + 1)]
         strict = all(
-            spaces[chain[k + 1]].is_subspace_of(spaces[chain[k]])
+            (chain[k + 1], chain[k]) in below
             and spaces[chain[k + 1]].dim < spaces[chain[k]].dim
             for k in range(len(chain) - 1)
         )

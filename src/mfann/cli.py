@@ -129,7 +129,11 @@ def cmd_validate(args) -> int:
     field = parse_field_flag(args.field)
     if args.json:
         with open(args.json) as fh:
-            item, ok = _validation_item(MatrixFactorization.from_json(json.load(fh)))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise SpecError("input: JSON nested too deeply") from None
+        item, ok = _validation_item(MatrixFactorization.from_json(data))
         payload = [item]
     elif args.selector in RING_IDS:
         payload, ok = _validate_payload(args.selector, field, args.n_max)
@@ -324,13 +328,26 @@ def cmd_reproduce_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low):
+    """An argparse type: an integer >= low, else a usage error (exit 1)."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_common(p, n_max_default=5):
     p.add_argument("--field", default="fp:13", help="fp:P or q (default fp:13)")
-    p.add_argument("--trunc", "-N", type=int, default=10, metavar="N",
+    p.add_argument("--trunc", "-N", type=_int_at_least(1), default=10, metavar="N",
                    help="truncation level (default 10)")
-    p.add_argument("--witness-degree", "-D", type=int, default=None, metavar="D",
+    p.add_argument("--witness-degree", "-D", type=_int_at_least(0), default=None, metavar="D",
                    help="witness degree bound (default n+2 per entry)")
-    p.add_argument("--n-max", type=int, default=n_max_default, metavar="K",
+    p.add_argument("--n-max", type=_int_at_least(1), default=n_max_default, metavar="K",
                    help="largest parameter value for parametric entries")
     p.add_argument("--out", default=None, metavar="FILE", help="write report to FILE")
     p.add_argument("--format", choices=("json", "text"), default="json")

@@ -7,6 +7,7 @@ ever touches floating point.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -14,10 +15,49 @@ class FieldError(ValueError):
     """Raised for invalid field configurations or non-invertible elements."""
 
 
+class SpecError(ValueError):
+    """Invalid ring specification, or malformed JSON input describing one."""
+
+
 class InvariantError(AssertionError):
     """An internal consistency check failed: a bug, never bad input.
 
     Raised explicitly, so the check survives ``python -O``."""
+
+
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
+def _parse_rational(s: str) -> Fraction:
+    """An integer or a fraction a/b; nothing else (no decimals or exponents,
+    whose expansion is unbounded), and no zero denominator."""
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise FieldError(f"cannot parse {s!r} as an integer or fraction")
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise FieldError(f"zero denominator in {s!r}") from None
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def json_check(value, kind, name: str):
+    """The parsed-JSON value itself if it is a `kind` (dict, list, str or int;
+    a boolean is not an integer), else SpecError naming it."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SpecError(f"{name}: expected {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def json_item(data, key: str, kind, where: str = ""):
+    """data[key] of parsed JSON, checked by `json_check`; SpecError naming
+    where.key if data is not an object or lacks the key."""
+    name = f"{where}.{key}" if where else key
+    json_check(data, dict, where or "input")
+    if key not in data:
+        raise SpecError(f"{name}: missing")
+    return json_check(data[key], kind, name)
 
 
 def _is_prime(p: int) -> bool:
@@ -88,7 +128,7 @@ class PrimeField:
         return self.mul(a, self.inv(b))
 
     def parse(self, s: str):
-        return self.coerce(Fraction(s.strip()))
+        return self.coerce(_parse_rational(s))
 
     def fmt(self, a) -> str:
         return str(a)
@@ -143,7 +183,7 @@ class Rationals:
         return Fraction(a) / b
 
     def parse(self, s: str):
-        return Fraction(s.strip())
+        return _parse_rational(s)
 
     def fmt(self, a) -> str:
         return str(a)
@@ -163,11 +203,13 @@ def default_field() -> PrimeField:
     return PrimeField(13, imaginary_unit=5)
 
 
-def field_from_config(cfg: dict):
+def field_from_config(cfg: dict, where: str = "field"):
     """Build a field from its JSON configuration {kind, p?, i?}."""
-    kind = cfg.get("kind")
+    kind = json_item(cfg, "kind", str, where)
     if kind == "prime-field":
-        return PrimeField(int(cfg["p"]), cfg.get("i"))
+        i = cfg.get("i")
+        return PrimeField(json_item(cfg, "p", int, where),
+                          None if i is None else json_check(i, int, f"{where}.i"))
     if kind == "rationals":
         return Rationals()
     raise FieldError(f"unknown field kind {kind!r}")

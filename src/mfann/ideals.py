@@ -21,6 +21,7 @@ __all__ = [
     "MemberResult",
     "LimitResult",
     "truncate_ideal",
+    "generator_rows",
     "ideal_subspace_from_vectors",
     "extract_generators",
     "member",
@@ -105,6 +106,17 @@ def truncate_ideal(ideal: IdealSpec, algebra: TruncatedAlgebra) -> Subspace:
     if ideal.spec != algebra.spec:
         raise SpecError("ideal and algebra are over different rings")
     return _span_of_multiples(ideal.generators, algebra)
+
+
+def generator_rows(ideal: IdealSpec, algebra: TruncatedAlgebra):
+    """reduce(g) for every generator g of the ideal, one row each.
+
+    The truncation of the ideal is the ideal of R_N these rows generate, so
+    a truncated ideal contains it exactly when it contains the rows.
+    """
+    if ideal.spec != algebra.spec:
+        raise SpecError("ideal and algebra are over different rings")
+    return as_array([algebra.reduce(g) for g in ideal.generators], algebra.field, algebra.dim)
 
 
 def ideal_subspace_from_vectors(vectors, algebra: TruncatedAlgebra) -> Subspace:
@@ -261,7 +273,8 @@ def limit_of_chain(
 
     (a) every candidate generator is a yes-certified member of each
     instantiation, (b) the truncated intersection over n <= n_max equals the
-    candidate's truncation, (c) the family truly descends at truncation N.
+    candidate's truncation, (c) the family truly descends at truncation N:
+    each instance's truncation contains the reduced generators of the next.
     """
     algebra = build_truncation(family.spec, N)
     instances = [family.instantiate(n) for n in range(1, n_max + 1)]
@@ -273,9 +286,9 @@ def limit_of_chain(
                     "refuted", n_max, N,
                     f"{candidate.format()} not certified inside {inst.format()}",
                 )
-    spaces = [truncate_ideal(inst, algebra) for inst in instances]
-    for k in range(len(spaces) - 1):
-        if not spaces[k + 1].is_subspace_of(spaces[k]):
+    for k in range(n_max - 1):
+        below = generator_rows(instances[k + 1], algebra)
+        if not truncate_ideal(instances[k], algebra).contains(below):
             return LimitResult("refuted", n_max, N, f"family does not descend at n={k + 1}")
     # The finite intersection is faithful to the infinite one only below the
     # degree of the last tail generator; compare there.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import default_field
+from .fields import default_field, json_check, json_item
 from .ideals import IdealSpec
 from .poly import Polynomial, parse_poly
 from .truncation import RingSpec, SpecError
@@ -88,10 +88,27 @@ class MatrixFactorization:
 
     @classmethod
     def from_json(cls, data: dict):
-        spec = RingSpec.from_json(data["spec"])
-        phi = tuple(tuple(spec.poly(e) for e in row) for row in data["phi"])
-        psi = tuple(tuple(spec.poly(e) for e in row) for row in data["psi"])
-        return cls(spec, int(data["n"]), phi, psi, data.get("label", ""))
+        """Inverse of `to_json`; SpecError or FieldError naming the first
+        malformed item on any other input."""
+        spec = RingSpec.from_json(json_item(data, "spec", dict))
+        n = json_item(data, "n", int)
+        if n < 1:
+            raise SpecError("n: expected a positive integer")
+        phi, psi = (
+            tuple(tuple(_json_poly(spec, e, f"{key}[{i}][{j}]")
+                        for j, e in enumerate(json_check(row, list, f"{key}[{i}]")))
+                  for i, row in enumerate(json_item(data, key, list)))
+            for key in ("phi", "psi")
+        )
+        return cls(spec, n, phi, psi, json_check(data.get("label", ""), str, "label"))
+
+
+def _json_poly(spec: RingSpec, text, name: str) -> Polynomial:
+    text = json_check(text, str, name)
+    try:
+        return spec.poly(text)
+    except ValueError as exc:
+        raise SpecError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -286,6 +303,8 @@ def catalog(ring_id: str, label: str, n: int | None = None, field=None) -> Catal
     parametric, phi, psi, ann, locally_free = table[label]
     if parametric and n is None:
         raise CatalogError(f"label {label!r} is parametric: n is required")
+    if parametric and n < 1:
+        raise CatalogError(f"label {label!r}: n must be an integer >= 1, not {n}")
     if not parametric:
         n = None
     mf_label = f"{ring_id}/{label}" + (f"?n={n}" if n is not None else "")
@@ -322,5 +341,8 @@ def parse_selector(selector: str, field=None, default_n=None):
         rest, query = rest.split("?", 1)
         if not query.startswith("n="):
             raise CatalogError(f"unknown selector query {query!r}")
-        n = int(query[2:])
+        n = query[2:]
+        if not (n.isascii() and n.isdigit()):
+            raise CatalogError(f"selector query {query!r}: n must be an integer >= 1")
+        n = int(n)
     return catalog(ring_id, rest, n, field)

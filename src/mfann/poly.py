@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 
+from .fields import SpecError, json_check, json_item
+
 Monomial = tuple
 
 __all__ = [
@@ -251,13 +253,21 @@ class Polynomial:
         ]
 
     @classmethod
-    def from_json(cls, data: list, field, nvars: int):
+    def from_json(cls, data: list, field, nvars: int, where: str = "f"):
+        """Inverse of `to_json`; SpecError naming the first malformed term
+        (as where[k]) on any other input."""
         terms = {}
-        for entry in data:
-            m = tuple(int(e) for e in entry["exponents"])
-            if len(m) != nvars:
-                raise ValueError("exponent arity mismatch")
-            terms[m] = field.parse(entry["coefficient"])
+        for k, entry in enumerate(json_check(data, list, where)):
+            item = f"{where}[{k}]"
+            m = tuple(json_check(e, int, f"{item}.exponents")
+                      for e in json_item(entry, "exponents", list, item))
+            if len(m) != nvars or min(m, default=0) < 0:
+                raise SpecError(f"{item}.exponents: expected {nvars} non-negative integers")
+            coefficient = json_item(entry, "coefficient", str, item)
+            try:
+                terms[m] = field.parse(coefficient)
+            except ValueError as exc:
+                raise SpecError(f"{item}.coefficient: {exc}") from None
         return cls(field, nvars, terms)
 
 
@@ -306,6 +316,8 @@ def parse_poly(text: str, variables, field) -> Polynomial:
             if tok in var_index:
                 power = 1
                 if i + 1 < n and tokens[i + 1] == "^":
+                    if i + 2 == n or not tokens[i + 2].isdigit():
+                        raise ValueError(f"expected an exponent after {tok}^")
                     power = int(tokens[i + 2])
                     i += 2
                 exps[var_index[tok]] += power

@@ -14,12 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import SpecError, field_from_config, field_to_config, json_check, json_item
 from .linalg import as_array, dot, echelon, mod, neg, zeros
 from .poly import Polynomial, grlex_keys, monomials_below, parse_poly
-
-
-class SpecError(ValueError):
-    """Invalid ring specification."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +48,6 @@ class RingSpec:
         return p.format(self.variables)
 
     def to_json(self) -> dict:
-        from .fields import field_to_config
-
         return {
             "variables": list(self.variables),
             "f": self.f.to_json(),
@@ -60,12 +55,17 @@ class RingSpec:
         }
 
     @classmethod
-    def from_json(cls, data: dict):
-        from .fields import field_from_config
-
-        field = field_from_config(data["field"])
-        variables = tuple(data["variables"])
-        f = Polynomial.from_json(data["f"], field, len(variables))
+    def from_json(cls, data: dict, where: str = "spec"):
+        """Inverse of `to_json`; SpecError or FieldError naming the first
+        malformed item (as where.key) on any other input."""
+        field = field_from_config(json_item(data, "field", dict, where), f"{where}.field")
+        names = json_item(data, "variables", list, where)
+        variables = tuple(json_check(v, str, f"{where}.variables[{k}]")
+                          for k, v in enumerate(names))
+        if len(set(variables)) != len(variables) or not all(v.isidentifier() for v in variables):
+            raise SpecError(f"{where}.variables: expected distinct identifiers")
+        f = Polynomial.from_json(json_item(data, "f", list, where), field, len(variables),
+                                 f"{where}.f")
         return cls(variables, f, field)
 
 

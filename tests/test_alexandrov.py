@@ -1,6 +1,7 @@
 """Specialization preorder, point closures, closed sets, compactness."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfann.alexandrov import (
     AnnFamily,
@@ -10,9 +11,11 @@ from mfann.alexandrov import (
     down_sets,
 )
 from mfann.families import EXPECTED_VERDICTS, build_family
-from mfann.fields import PrimeField
-from mfann.ideals import IdealSpec, ParametricIdealFamily
+from mfann.fields import PrimeField, Rationals
+from mfann.ideals import IdealSpec, ParametricIdealFamily, truncate_ideal
 from mfann.mf import RING_IDS, ring_spec
+from mfann.poly import Polynomial, monomials_below
+from mfann.truncation import build_truncation
 
 F13 = PrimeField(13, 5)
 XX = ring_spec("a-inf-1", F13)
@@ -113,3 +116,47 @@ def test_verdict_serialization_and_dot():
     assert data["verdict"] == "compact" and data["minimum"] == "B"
     dot = verdict.to_dot()
     assert dot.startswith("digraph") and '"B" -> "A"' in dot
+
+
+def pairwise_edges(family, n_max):
+    """The preorder by the definition: every ordered pair of members, each
+    truncated ideal compared basis row by basis row."""
+    algebra = build_truncation(family.ring, family.N)
+    spaces = {lab: truncate_ideal(ideal, algebra) for lab, ideal in family.expanded(n_max)}
+    return [(a, b) for a in spaces for b in spaces if spaces[a].is_subspace_of(spaces[b])]
+
+
+@pytest.mark.parametrize("ring_id, subfamily, field, N, n_max", [
+    *[(ring_id, "all", F13, 8, 4) for ring_id in RING_IDS],
+    ("a-inf-1", "cm0", F13, 8, 4),
+    ("a-inf-1", "all", Rationals(), 6, 3),
+    ("d-inf-1", "all", Rationals(), 6, 3),
+])
+def test_preorder_on_generators_matches_pairwise(ring_id, subfamily, field, N, n_max):
+    fam = build_family(ring_id, field, N, subfamily=subfamily)
+    assert build_preorder(fam, n_max) == pairwise_edges(fam, n_max)
+
+
+_MONOS = monomials_below(2, 4)
+
+
+@st.composite
+def ideals(draw):
+    """Random ideals of k[[x,y]]/(x^2) over F13, the zero and unit ideals included."""
+    gens = draw(st.lists(
+        st.dictionaries(st.sampled_from(_MONOS), st.integers(1, 12), min_size=1, max_size=3),
+        max_size=3,
+    ))
+    return IdealSpec(XX, tuple(Polynomial(F13, 2, terms) for terms in gens))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(ideals(), min_size=1, max_size=5), st.integers(3, 6))
+def test_preorder_on_random_ideals_matches_pairwise(random_ideals, N):
+    members = [("0", I(XX)), ("1", I(XX, "1"))]
+    members += [(f"I{k}", ideal) for k, ideal in enumerate(random_ideals)]
+    fam = AnnFamily(XX, tuple(members), N=N)
+    edges = build_preorder(fam)
+    assert edges == pairwise_edges(fam, 5)
+    assert {("0", lab) for lab, _ in members} <= set(edges)
+    assert {(lab, "1") for lab, _ in members} <= set(edges)

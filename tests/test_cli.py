@@ -1,10 +1,18 @@
 """Command-line interface: exit codes, report schema, determinism."""
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import mfann
 from mfann.cli import main
+from mfann.mf import catalog
 
 
 def run(capsys, *argv):
@@ -132,3 +140,99 @@ def test_validate_selector_reports_violation(capsys, monkeypatch):
     assert entry["label"] == "a-inf-1/phi?n=2" and entry["valid"] is False
     assert entry["violation"] == {
         "product": "phi*psi", "entry": [1, 2], "got": "x", "expected": "0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("ann", "a-inf-1/phi?n=1", "-N", "6", "-D", "-1"),
+    ("topology", "a-inf-1", "-N", "6", "-D", "-1"),
+    ("topology", "a-inf-1", "-N", "6", "--n-max", "0"),
+    ("validate", "a-inf-1", "--n-max", "-3"),
+    ("ann", "a-inf-1/phi?n=1", "-N", "0"),
+    ("validate", "a-inf-1/phi?n=0"),
+    ("validate", "a-inf-1/phi?n=-1"),
+    ("validate", "a-inf-1/phi?n=two"),
+    ("ann", "a-inf-1/phi?n=", "-N", "6"),
+])
+def test_out_of_range_numbers_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert ">= " in err and "Traceback" not in err
+
+
+def test_smallest_accepted_numbers(capsys):
+    code, out, _ = run(capsys, "ann", "a-inf-1/phi?n=1", "-N", "6", "-D", "0")
+    assert code in (0, 2) and json.loads(out)["config"]["witness_degree"] == 0
+    code, out, _ = run(capsys, "validate", "a-inf-1", "--n-max", "1")
+    assert code == 0 and len(json.loads(out)["entries"]) == 2
+
+
+@pytest.mark.parametrize("text, field", [
+    (json.dumps({"phi": 1}), "spec"),
+    (json.dumps([1, 2]), "input"),
+    (json.dumps("spec"), "input"),
+    (json.dumps({"spec": {"field": "fp:13", "variables": ["x", "y"], "f": []}}), "spec.field"),
+    ("[" * 100_000 + "]" * 100_000, "input"),
+])
+def test_malformed_json_names_the_field(tmp_path, capsys, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", "--json", str(path))
+    assert code == 1 and out == ""
+    assert f"error: {field}" in err
+
+
+@functools.cache
+def _valid_text():
+    return json.dumps(catalog("d-inf-2", "delta+", 2).mf.to_json())
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 20) | st.floats(allow_nan=False)
+    | st.text(max_size=8) | st.sampled_from(["x", "x^", "y^2", "1/0", "2/3", "z-5*x"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["spec", "n", "phi", "psi", "label", "field", "kind", "p", "i",
+                         "variables", "f", "exponents", "coefficient"]) | st.text(max_size=4),
+        inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def json_documents(draw):
+    """Arbitrary JSON, or a valid factorization with one item replaced."""
+    if draw(st.booleans()):
+        return draw(json_values)
+    doc = json.loads(_valid_text())
+    path = draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_documents())
+def test_validate_json_never_crashes(tmp_path, doc):
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--json", str(path), "--out", str(out)]) in (0, 1, 2)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(mfann.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "mfann", "validate", "a-inf-1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
