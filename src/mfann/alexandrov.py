@@ -59,10 +59,16 @@ class AnnFamily:
         return out
 
 
-def _truncations(family: AnnFamily, n_max: int):
+def _truncations(family: AnnFamily, n_max: int, spaces=None):
+    """R_N, the labeled members and their truncated subspaces by label,
+    computed unless given."""
+    if not family.members and not family.parametric:
+        raise SpecError("empty family")
     algebra = build_truncation(family.ring, family.N)
     labeled = family.expanded(n_max)
-    return algebra, labeled, {lab: truncate_ideal(ideal, algebra) for lab, ideal in labeled}
+    if spaces is None:
+        spaces = {lab: truncate_ideal(ideal, algebra) for lab, ideal in labeled}
+    return algebra, labeled, spaces
 
 
 def build_preorder(family: AnnFamily, n_max: int = 5, spaces=None):
@@ -76,14 +82,9 @@ def build_preorder(family: AnnFamily, n_max: int = 5, spaces=None):
     Y tests the stacked generator rows of every X at once.  `spaces`, the
     members' truncated subspaces by label, saves computing them again.
     """
-    if not family.members and not family.parametric:
-        raise SpecError("empty family")
-    algebra = build_truncation(family.ring, family.N)
-    ideals = dict(family.expanded(n_max))
-    if spaces is None:
-        spaces = {lab: truncate_ideal(ideal, algebra) for lab, ideal in ideals.items()}
-    labels = list(ideals)
-    rows = [generator_rows(ideal, algebra) for ideal in ideals.values()]
+    algebra, labeled, spaces = _truncations(family, n_max, spaces)
+    labels = [lab for lab, _ideal in labeled]
+    rows = [generator_rows(ideal, algebra) for _lab, ideal in labeled]
     owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
     stacked = np.vstack(rows)
     # below[a, b]: no generator row of member a lies outside member b
@@ -165,8 +166,6 @@ class AlexandrovVerdict:
 
 
 def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> AlexandrovVerdict:
-    if not family.members and not family.parametric:
-        raise SpecError("empty family")
     algebra, labeled, spaces = _truncations(family, n_max)
     edges = build_preorder(family, n_max, spaces)
     scale = {"N": family.N, "n_max": n_max, "D": D}
@@ -211,7 +210,6 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
                     return False
         return True
 
-    ideal_of = dict(labeled)
     for label, ideal in labeled:
         if attains(label, ideal):
             mp = is_m_primary(global_ideal, max(family.N, 8))

@@ -203,13 +203,14 @@ def default_field() -> PrimeField:
     return PrimeField(13, imaginary_unit=5)
 
 
-def field_from_config(cfg: dict, where: str = "field"):
-    """Build a field from its JSON configuration {kind, p?, i?}."""
-    kind = json_item(cfg, "kind", str, where)
+def field_from_config(cfg: dict):
+    """Build a field from its JSON configuration {kind, p?, i?}, the
+    spec.field item of a factorization's JSON."""
+    kind = json_item(cfg, "kind", str, "spec.field")
     if kind == "prime-field":
         i = cfg.get("i")
-        return PrimeField(json_item(cfg, "p", int, where),
-                          None if i is None else json_check(i, int, f"{where}.i"))
+        return PrimeField(json_item(cfg, "p", int, "spec.field"),
+                          None if i is None else json_check(i, int, "spec.field.i"))
     if kind == "rationals":
         return Rationals()
     raise FieldError(f"unknown field kind {kind!r}")

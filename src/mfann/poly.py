@@ -253,12 +253,12 @@ class Polynomial:
         ]
 
     @classmethod
-    def from_json(cls, data: list, field, nvars: int, where: str = "f"):
+    def from_json(cls, data: list, field, nvars: int):
         """Inverse of `to_json`; SpecError naming the first malformed term
-        (as where[k]) on any other input."""
+        (as spec.f[k]) on any other input."""
         terms = {}
-        for k, entry in enumerate(json_check(data, list, where)):
-            item = f"{where}[{k}]"
+        for k, entry in enumerate(json_check(data, list, "spec.f")):
+            item = f"spec.f[{k}]"
             m = tuple(json_check(e, int, f"{item}.exponents")
                       for e in json_item(entry, "exponents", list, item))
             if len(m) != nvars or min(m, default=0) < 0:

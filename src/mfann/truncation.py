@@ -55,17 +55,16 @@ class RingSpec:
         }
 
     @classmethod
-    def from_json(cls, data: dict, where: str = "spec"):
+    def from_json(cls, data: dict):
         """Inverse of `to_json`; SpecError or FieldError naming the first
-        malformed item (as where.key) on any other input."""
-        field = field_from_config(json_item(data, "field", dict, where), f"{where}.field")
-        names = json_item(data, "variables", list, where)
-        variables = tuple(json_check(v, str, f"{where}.variables[{k}]")
+        malformed item (as spec.key) on any other input."""
+        field = field_from_config(json_item(data, "field", dict, "spec"))
+        names = json_item(data, "variables", list, "spec")
+        variables = tuple(json_check(v, str, f"spec.variables[{k}]")
                           for k, v in enumerate(names))
         if len(set(variables)) != len(variables) or not all(v.isidentifier() for v in variables):
-            raise SpecError(f"{where}.variables: expected distinct identifiers")
-        f = Polynomial.from_json(json_item(data, "f", list, where), field, len(variables),
-                                 f"{where}.f")
+            raise SpecError("spec.variables: expected distinct identifiers")
+        f = Polynomial.from_json(json_item(data, "f", list, "spec"), field, len(variables))
         return cls(variables, f, field)
 
 
