@@ -10,6 +10,7 @@ without a verified limit the verdict degrades to undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 
 import numpy as np
 
@@ -61,13 +62,15 @@ class AnnFamily:
 
 def _truncations(family: AnnFamily, n_max: int, spaces=None):
     """R_N, the labeled members and their truncated subspaces by label,
-    computed unless given."""
+    computed unless given, once per distinct generator tuple."""
     if not family.members and not family.parametric:
         raise SpecError("empty family")
     algebra = build_truncation(family.ring, family.N)
     labeled = family.expanded(n_max)
     if spaces is None:
-        spaces = {lab: truncate_ideal(ideal, algebra) for lab, ideal in labeled}
+        distinct = {ideal.generators: ideal for _lab, ideal in labeled}
+        by_gens = {gens: truncate_ideal(ideal, algebra) for gens, ideal in distinct.items()}
+        spaces = {lab: by_gens[ideal.generators] for lab, ideal in labeled}
     return algebra, labeled, spaces
 
 
@@ -166,6 +169,13 @@ class AlexandrovVerdict:
 
 
 def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> AlexandrovVerdict:
+    """The attainment verdict at truncation N.
+
+    The global intersection folds only the finite members and the verified
+    limits: `limit_of_chain` certifies every limit generator inside every
+    chain instance by exact cofactors, so a limit's truncation lies in each
+    instance's and the instances cannot lower the meet.
+    """
     algebra, labeled, spaces = _truncations(family, n_max)
     edges = build_preorder(family, n_max, spaces)
     scale = {"N": family.N, "n_max": n_max, "D": D}
@@ -178,37 +188,26 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
                 "undetermined", None, None, edges, None, scale,
                 detail=f"parametric member {label!r} has no limit candidate",
             )
-        res = limit_of_chain(fam, limit, n_max, family.N, D)
+        instances = [spaces[f"{label}[n={n}]"] for n in range(1, n_max)]
+        res = limit_of_chain(fam, limit, n_max, family.N, D, instances)
         if res.status != "verified-at-scale":
             return AlexandrovVerdict(
                 "undetermined", None, None, edges, None, scale,
                 detail=f"limit of {label!r} not verified: {res.failure}",
             )
-        limits.append((label, limit))
+        limits.append(limit)
 
-    # global intersection at truncation
-    meet = None
-    for _lab, sp in spaces.items():
-        meet = sp if meet is None else meet.intersect(sp)
-    for _lab, limit in limits:
-        sp = truncate_ideal(limit, algebra)
-        meet = sp if meet is None else meet.intersect(sp)
+    # certified comparison targets: all finite members and all limit candidates
+    targets = [ideal for _lab, ideal in family.members] + limits
+    meet = reduce(Subspace.intersect, [spaces[lab] for lab, _ideal in family.members]
+                  + [truncate_ideal(limit, algebra) for limit in limits])
     gens = extract_generators(meet, algebra)
     global_ideal = IdealSpec(family.ring, tuple(gens), name="Ann(family)")
 
-    # certified comparison targets: all finite members and all limit candidates
-    targets = [ideal for _lab, ideal in family.members] + [lim for _lab, lim in limits]
-
     def attains(label, ideal) -> bool:
-        if spaces[label] != meet:
-            return False
-        for g in ideal.generators:
-            for target in targets:
-                if target is ideal:
-                    continue
-                if not member(g, target, family.N, D).is_member:
-                    return False
-        return True
+        return spaces[label] == meet and all(
+            member(g, target, family.N, D).is_member
+            for g in ideal.generators for target in targets if target is not ideal)
 
     for label, ideal in labeled:
         if attains(label, ideal):
@@ -222,11 +221,8 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
     below = set(edges)
     for label, fam, _limit in family.parametric:
         chain = [f"{label}[n={n}]" for n in range(1, n_max + 1)]
-        strict = all(
-            (chain[k + 1], chain[k]) in below
-            and spaces[chain[k + 1]].dim < spaces[chain[k]].dim
-            for k in range(len(chain) - 1)
-        )
+        strict = all((b, a) in below and spaces[b].dim < spaces[a].dim
+                     for a, b in zip(chain, chain[1:]))
         if strict:
             mp = is_m_primary(global_ideal, max(family.N, 8))
             return AlexandrovVerdict(

@@ -226,21 +226,17 @@ def field_to_config(field) -> dict:
 
 
 def parse_field_flag(s: str):
-    """Parse a CLI field flag: 'fp:13', 'fp:13:i=5', or 'q'."""
+    """Parse a CLI field flag: 'fp:13', 'fp:13:i=5', or 'q'.
+
+    P and I are plain decimal literals (int() alone would also take '1_3'
+    and ' 13'); any other ':' part, or a second 'i=', is rejected.
+    """
     s = s.strip().lower()
     if s in ("q", "qq", "rationals"):
         return Rationals()
-    if s.startswith("fp:"):
-        parts = s[3:].split(":")
-        try:
-            p = int(parts[0])
-            i = None
-            for extra in parts[1:]:
-                if extra.startswith("i="):
-                    i = int(extra[2:])
-        except ValueError:
-            raise FieldError(f"cannot parse field flag {s!r} (expected fp:P or q)")
-        if i is None and p == 13:
-            i = 5
-        return PrimeField(p, i)
-    raise FieldError(f"cannot parse field flag {s!r} (expected fp:P or q)")
+    m = re.fullmatch(r"fp:([0-9]+)(?::i=([0-9]+))?", s)
+    if m is None:
+        raise FieldError(f"cannot parse field flag {s!r} (expected fp:P, fp:P:i=I or q)")
+    p = int(m[1])
+    i = int(m[2]) if m[2] is not None else 5 if p == 13 else None
+    return PrimeField(p, i)

@@ -268,13 +268,19 @@ def limit_of_chain(
     n_max: int,
     N: int,
     D: int = 4,
+    spaces=None,
 ) -> LimitResult:
     """Check that the candidate is the limit of the descending family.
 
     (a) every candidate generator is a yes-certified member of each
-    instantiation, (b) the truncated intersection over n <= n_max equals the
-    candidate's truncation, (c) the family truly descends at truncation N:
-    each instance's truncation contains the reduced generators of the next.
+    instantiation, (c) the family truly descends at truncation N: each
+    instance's truncation contains the reduced generators of the next,
+    (b) the truncated intersection over n <= n_max equals the candidate's
+    truncation.  (c) runs first: R_N -> R_{N_cmp} is a surjective ring map
+    that carries an ideal's truncation at N onto its truncation at N_cmp,
+    so the chain descends at N_cmp <= N too, and its intersection there is
+    the last instance.  `spaces`, the truncations at N of instances
+    1..n_max-1, saves computing them again.
     """
     algebra = build_truncation(family.spec, N)
     instances = [family.instantiate(n) for n in range(1, n_max + 1)]
@@ -286,9 +292,10 @@ def limit_of_chain(
                     "refuted", n_max, N,
                     f"{candidate.format()} not certified inside {inst.format()}",
                 )
+    if spaces is None:
+        spaces = [truncate_ideal(inst, algebra) for inst in instances[:-1]]
     for k in range(n_max - 1):
-        below = generator_rows(instances[k + 1], algebra)
-        if not truncate_ideal(instances[k], algebra).contains(below):
+        if not spaces[k].contains(generator_rows(instances[k + 1], algebra)):
             return LimitResult("refuted", n_max, N, f"family does not descend at n={k + 1}")
     # The finite intersection is faithful to the infinite one only below the
     # degree of the last tail generator; compare there.
@@ -297,9 +304,6 @@ def limit_of_chain(
     if N_cmp < 1:
         return LimitResult("refuted", n_max, N, "tail degenerates at this scale")
     cmp_algebra = build_truncation(family.spec, N_cmp)
-    meet = truncate_ideal(instances[0], cmp_algebra)
-    for inst in instances[1:]:
-        meet = meet.intersect(truncate_ideal(inst, cmp_algebra))
-    if meet != truncate_ideal(candidate, cmp_algebra):
+    if truncate_ideal(instances[-1], cmp_algebra) != truncate_ideal(candidate, cmp_algebra):
         return LimitResult("refuted", n_max, N, "truncated intersection differs from candidate")
     return LimitResult("verified-at-scale", n_max, N)

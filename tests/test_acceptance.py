@@ -4,6 +4,7 @@ Each test checks one acceptance criterion and prints a single
 "CRITERION k: PASS/FAIL" line (repeated in the terminal summary).
 """
 
+import hashlib
 import json
 import random
 import time
@@ -392,12 +393,18 @@ def test_criterion_8_property_suites(criterion_line):
 # ---------------------------------------------------------------------------
 
 
+# sha256 of the `reproduce-paper -N 6 --n-max 2` report; change it only with
+# a deliberate change to the report
+SMALL_REPORT_SHA256 = "16bcc11148221b424093c576f01a5fc67886811cc7be887a12445fe8fa9100bd"
+
+
 def test_criterion_9_determinism(criterion_line, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["reproduce-paper", "-N", "6", "--n-max", "2"]
     code_a = cli_main(args + ["--out", str(a)])
     code_b = cli_main(args + ["--out", str(b)])
     identical = a.read_bytes() == b.read_bytes()
+    pinned = hashlib.sha256(a.read_bytes()).hexdigest() == SMALL_REPORT_SHA256
     report = json.loads(a.read_text())
-    ok = code_a == 0 and code_b == 0 and identical and report["pass"] is True
+    ok = code_a == 0 and code_b == 0 and identical and pinned and report["pass"] is True
     assert criterion_line(9, "byte-identical reproduction reports", ok)

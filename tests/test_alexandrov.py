@@ -12,7 +12,14 @@ from mfann.alexandrov import (
 )
 from mfann.families import EXPECTED_VERDICTS, build_family
 from mfann.fields import PrimeField, Rationals
-from mfann.ideals import IdealSpec, ParametricIdealFamily, truncate_ideal
+from mfann.ideals import (
+    IdealSpec,
+    ParametricIdealFamily,
+    extract_generators,
+    limit_of_chain,
+    member,
+    truncate_ideal,
+)
 from mfann.mf import RING_IDS, ring_spec
 from mfann.poly import Polynomial, monomials_below
 from mfann.truncation import build_truncation
@@ -118,6 +125,14 @@ def test_verdict_serialization_and_dot():
     assert dot.startswith("digraph") and '"B" -> "A"' in dot
 
 
+FAMILY_CASES = [
+    *[(ring_id, "all", F13, 8, 4) for ring_id in RING_IDS],
+    ("a-inf-1", "cm0", F13, 8, 4),
+    ("a-inf-1", "all", Rationals(), 6, 3),
+    ("d-inf-1", "all", Rationals(), 6, 3),
+]
+
+
 def pairwise_edges(family, n_max):
     """The preorder by the definition: every ordered pair of members, each
     truncated ideal compared basis row by basis row."""
@@ -126,12 +141,7 @@ def pairwise_edges(family, n_max):
     return [(a, b) for a in spaces for b in spaces if spaces[a].is_subspace_of(spaces[b])]
 
 
-@pytest.mark.parametrize("ring_id, subfamily, field, N, n_max", [
-    *[(ring_id, "all", F13, 8, 4) for ring_id in RING_IDS],
-    ("a-inf-1", "cm0", F13, 8, 4),
-    ("a-inf-1", "all", Rationals(), 6, 3),
-    ("d-inf-1", "all", Rationals(), 6, 3),
-])
+@pytest.mark.parametrize("ring_id, subfamily, field, N, n_max", FAMILY_CASES)
 def test_preorder_on_generators_matches_pairwise(ring_id, subfamily, field, N, n_max):
     fam = build_family(ring_id, field, N, subfamily=subfamily)
     assert build_preorder(fam, n_max) == pairwise_edges(fam, n_max)
@@ -160,3 +170,48 @@ def test_preorder_on_random_ideals_matches_pairwise(random_ideals, N):
     assert edges == pairwise_edges(fam, 5)
     assert {("0", lab) for lab, _ in members} <= set(edges)
     assert {(lab, "1") for lab, _ in members} <= set(edges)
+
+
+def reference_verdict(family, n_max, D=4):
+    """The verdict by the definition: the meet folds every expanded member's
+    and every limit's own truncation, each limit taken as verified."""
+    algebra = build_truncation(family.ring, family.N)
+    labeled = family.expanded(n_max)
+    spaces = {lab: truncate_ideal(ideal, algebra) for lab, ideal in labeled}
+    limits = [limit for _lab, _fam, limit in family.parametric]
+    meet = None
+    for sp in list(spaces.values()) + [truncate_ideal(limit, algebra) for limit in limits]:
+        meet = sp if meet is None else meet.intersect(sp)
+    gens = IdealSpec(family.ring, tuple(extract_generators(meet, algebra))).format()
+    edges = pairwise_edges(family, n_max)
+    targets = [ideal for _lab, ideal in family.members] + limits
+    for lab, ideal in labeled:
+        if spaces[lab] == meet and all(
+                member(g, t, family.N, D).is_member
+                for g in ideal.generators for t in targets if t is not ideal):
+            return "compact", lab, gens, edges, lab, meet
+    for lab, _fam, _limit in family.parametric:
+        chain = [f"{lab}[n={n}]" for n in range(1, n_max + 1)]
+        if all((b, a) in edges and spaces[b].dim < spaces[a].dim
+               for a, b in zip(chain, chain[1:])):
+            return "not-compact-evidence", None, gens, edges, chain, meet
+    return "undetermined", None, gens, edges, None, meet
+
+
+@pytest.mark.parametrize("ring_id, subfamily, field, N, n_max", FAMILY_CASES)
+def test_verdict_matches_full_intersection(ring_id, subfamily, field, N, n_max):
+    fam = build_family(ring_id, field, N, subfamily=subfamily)
+    v = compactness_verdict(fam, n_max)
+    got = (v.verdict, v.minimum, v.global_intersection.format(), v.edges, v.evidence, v.space)
+    assert got == reference_verdict(fam, n_max)
+
+
+@pytest.mark.parametrize("ring_id, subfamily, field, N, n_max", FAMILY_CASES)
+def test_limit_of_chain_same_with_given_spaces(ring_id, subfamily, field, N, n_max):
+    fam = build_family(ring_id, field, N, subfamily=subfamily)
+    algebra = build_truncation(fam.ring, N)
+    for _lab, pfam, limit in fam.parametric:
+        spaces = [truncate_ideal(pfam.instantiate(n), algebra) for n in range(1, n_max)]
+        res = limit_of_chain(pfam, limit, n_max, N)
+        assert res.status == "verified-at-scale"
+        assert limit_of_chain(pfam, limit, n_max, N, spaces=spaces) == res

@@ -64,6 +64,12 @@ def test_field_above_int64_bound_exit_one(capsys):
     assert "2^31" in err
 
 
+def test_malformed_field_flag_exit_one(capsys):
+    code, out, err = run(capsys, "ann", "a-inf-1/phi?n=1", "--field", "fp:13:i=5:i=8")
+    assert code == 1 and out == ""
+    assert "field flag" in err and "Traceback" not in err
+
+
 def test_invariant_failure_exit_three(capsys, monkeypatch):
     from mfann import cli
     from mfann.fields import InvariantError

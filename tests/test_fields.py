@@ -86,6 +86,16 @@ def test_parse_field_flag():
         parse_field_flag("fp:abc")
     with pytest.raises(FieldError):
         parse_field_flag("r64")
+    assert parse_field_flag(" FP:13:i=8 ").imaginary_unit == 8
+    assert parse_field_flag("fp:13").imaginary_unit == 5
+    assert parse_field_flag("fp:17").imaginary_unit is None
+    # an unknown part, a second i=, and anything int() takes beyond a plain
+    # decimal literal (underscores, inner spaces, signs, other scripts' digits)
+    for flag in ("fp:13:bogus", "fp:13:i=5:i=8", "fp:13:i=5:", "fp:1_3", "fp: 13",
+                 "fp:1 3", "fp:+13", "fp:13:i=_5", "fp:13:i= 5", "fp:13:i=", "fp:",
+                 "fp:١٣", "fp13"):
+        with pytest.raises(FieldError):
+            parse_field_flag(flag)
 
 
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
