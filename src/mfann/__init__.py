@@ -9,11 +9,9 @@ from .ideals import (
     IdealSpec,
     ParametricIdealFamily,
     extract_generators,
-    intersect_at,
     is_m_primary,
     limit_of_chain,
     member,
-    sum_at,
     truncate_ideal,
 )
 from .mf import (
@@ -41,9 +39,7 @@ from .alexandrov import (
     AnnFamily,
     AlexandrovVerdict,
     build_preorder,
-    closure,
     compactness_verdict,
-    down_sets,
 )
 from .families import EXPECTED_VERDICTS, build_family, family_layout
 

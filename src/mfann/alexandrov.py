@@ -28,8 +28,7 @@ from .ideals import (
 from .linalg import Subspace
 from .truncation import RingSpec, SpecError, build_truncation
 
-__all__ = ["AnnFamily", "AlexandrovVerdict", "build_preorder", "closure", "down_sets",
-           "compactness_verdict"]
+__all__ = ["AnnFamily", "AlexandrovVerdict", "build_preorder", "compactness_verdict"]
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,11 @@ def _truncations(family: AnnFamily, n_max: int, spaces=None):
         raise SpecError("empty family")
     algebra = build_truncation(family.ring, family.N)
     labeled = family.expanded(n_max)
+    seen = set()
+    for lab, _ideal in labeled:
+        if lab in seen:
+            raise SpecError(f"repeated member label {lab!r}")
+        seen.add(lab)
     if spaces is None:
         distinct = {ideal.generators: ideal for _lab, ideal in labeled}
         by_gens = {gens: truncate_ideal(ideal, algebra) for gens, ideal in distinct.items()}
@@ -103,36 +107,6 @@ def build_preorder(family: AnnFamily, n_max: int = 5, spaces=None):
     return [(labels[a], labels[b]) for a, b in zip(*np.nonzero(below))]
 
 
-def closure(family: AnnFamily, label: str, n_max: int = 5):
-    """Members below the given one: the Alexandrov point closure."""
-    edges = build_preorder(family, n_max)
-    labels = {a for a, _ in edges}
-    if label not in labels:
-        raise SpecError(f"unknown label {label!r}")
-    eset = set(edges)
-    return sorted(y for y in labels if (y, label) in eset)
-
-
-def down_sets(family: AnnFamily, n_max: int = 5, guard: int = 20):
-    """All closed sets (unions of point closures, plus the empty set)."""
-    edges = build_preorder(family, n_max)
-    labels = sorted({a for a, _ in edges})
-    if len(labels) > guard:
-        raise SpecError(f"family too large for closed-set enumeration (> {guard})")
-    eset = set(edges)
-    closures = [frozenset(y for y in labels if (y, x) in eset) for x in labels]
-    closed = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        base = frontier.pop()
-        for cl in closures:
-            new = base | cl
-            if new not in closed:
-                closed.add(new)
-                frontier.append(new)
-    return sorted(closed, key=lambda s: (len(s), sorted(s)))
-
-
 @dataclass
 class AlexandrovVerdict:
     verdict: str  # compact | not-compact-evidence | undetermined
@@ -158,14 +132,6 @@ class AlexandrovVerdict:
             "m_primary": self.m_primary,
             "detail": self.detail,
         }
-
-    def to_dot(self) -> str:
-        lines = ["digraph preorder {"]
-        for a, b in self.edges:
-            if a != b:
-                lines.append(f'  "{a}" -> "{b}";')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> AlexandrovVerdict:

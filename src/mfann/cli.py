@@ -58,15 +58,15 @@ def _iter_entries(ring_id, field, n_max):
             yield catalog(ring_id, label, None, field)
 
 
-def _config_json(args, field):
-    cfg = {"field": field_to_config(field)}
+def _emit(args, field, ok, **sections) -> int:
+    """Write the report, the sections inside the common envelope, and
+    return the exit code for its pass flag."""
+    config = {"field": field_to_config(field)}
     for key in ("trunc", "witness_degree", "n_max", "subfamily"):
         if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
-
-
-def _emit(report, args) -> None:
+            config[key] = getattr(args, key)
+    report = {"schema": SCHEMA, "command": args.command, "config": config, "pass": ok,
+              **sections}
     if args.format == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
@@ -76,6 +76,7 @@ def _emit(report, args) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if ok else 2
 
 
 def _render_text(report, indent=0):
@@ -142,15 +143,7 @@ def cmd_validate(args) -> int:
         payload = [item]
     else:
         raise CatalogError("validate needs a ring, a selector, or --json FILE")
-    report = {
-        "schema": SCHEMA,
-        "command": "validate",
-        "config": _config_json(args, field),
-        "entries": payload,
-        "pass": ok,
-    }
-    _emit(report, args)
-    return 0 if ok else 2
+    return _emit(args, field, ok, entries=payload)
 
 
 def _witness_degree(args, entry):
@@ -184,15 +177,7 @@ def cmd_ann(args) -> int:
     field = parse_field_flag(args.field)
     entry = parse_selector(args.selector, field)
     payload, ok = _ann_payload(entry, args.trunc, _witness_degree(args, entry))
-    report = {
-        "schema": SCHEMA,
-        "command": "ann",
-        "config": _config_json(args, field),
-        "result": payload,
-        "pass": ok,
-    }
-    _emit(report, args)
-    return 0 if ok else 2
+    return _emit(args, field, ok, result=payload)
 
 
 def _topology_payload(ring_id, field, N, n_max, D, subfamily):
@@ -216,15 +201,7 @@ def cmd_topology(args) -> int:
     payload, ok = _topology_payload(
         args.ring, field, args.trunc, args.n_max, D, args.subfamily
     )
-    report = {
-        "schema": SCHEMA,
-        "command": "topology",
-        "config": _config_json(args, field),
-        "result": payload,
-        "pass": ok,
-    }
-    _emit(report, args)
-    return 0 if ok else 2
+    return _emit(args, field, ok, result=payload)
 
 
 def cmd_double(args) -> int:
@@ -238,28 +215,20 @@ def cmd_double(args) -> int:
     D = args.witness_degree if args.witness_degree is not None else 3
     src = annihilate(entry.mf, N, D)
     dbl = annihilate(doubled, N, D)
-    report = {
-        "schema": SCHEMA,
-        "command": "double",
-        "config": _config_json(args, field),
-        "result": {
-            "source": {
-                "label": entry.mf.label,
-                "annihilator": _fmt_ideal(spec, src.upper_generators),
-                "status": src.status,
-            },
-            "double": {
-                "label": doubled.label,
-                "ring": doubled.spec.format(doubled.spec.f),
-                "valid": rep.ok,
-                "annihilator": _fmt_ideal(doubled.spec, dbl.upper_generators),
-                "status": dbl.status,
-            },
+    return _emit(args, field, rep.ok, result={
+        "source": {
+            "label": entry.mf.label,
+            "annihilator": _fmt_ideal(spec, src.upper_generators),
+            "status": src.status,
         },
-        "pass": rep.ok,
-    }
-    _emit(report, args)
-    return 0 if rep.ok else 2
+        "double": {
+            "label": doubled.label,
+            "ring": doubled.spec.format(doubled.spec.f),
+            "valid": rep.ok,
+            "annihilator": _fmt_ideal(doubled.spec, dbl.upper_generators),
+            "status": dbl.status,
+        },
+    })
 
 
 def _property_payload(field, N=6):
@@ -308,19 +277,10 @@ def cmd_reproduce_paper(args) -> int:
     overall = overall and sub_ok and sub["verdict"] == "not-compact-evidence"
     props, props_ok = _property_payload(field)
     overall = overall and props_ok
-    report = {
-        "schema": SCHEMA,
-        "command": "reproduce-paper",
-        "config": _config_json(args, field),
-        "rings": rings,
-        "subfamilies": {"a-inf-1/cm0": sub},
-        "properties": props,
-        "pass": overall,
-    }
+    sections = {"rings": rings, "subfamilies": {"a-inf-1/cm0": sub}, "properties": props}
     if first_diff:
-        report["first_diff"] = first_diff
-    _emit(report, args)
-    return 0 if overall else 2
+        sections["first_diff"] = first_diff
+    return _emit(args, field, overall, **sections)
 
 
 # ---------------------------------------------------------------------------

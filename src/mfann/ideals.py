@@ -25,8 +25,6 @@ __all__ = [
     "ideal_subspace_from_vectors",
     "extract_generators",
     "member",
-    "intersect_at",
-    "sum_at",
     "is_m_primary",
     "limit_of_chain",
 ]
@@ -56,18 +54,6 @@ class IdealSpec:
             return "(0)"
         return "(" + ", ".join(self.spec.format(g) for g in self.generators) + ")"
 
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "generators": [self.spec.format(g) for g in self.generators],
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict):
-        spec = RingSpec.from_json(data["spec"])
-        return cls.from_strings(spec, data["generators"], data.get("name", ""))
-
 
 @dataclass(frozen=True)
 class ParametricIdealFamily:
@@ -85,14 +71,6 @@ class ParametricIdealFamily:
         gens = tuple(self.fixed) + (self.tail_base ** (n + self.tail_offset),)
         label = f"{self.name}[n={n}]" if self.name else f"[n={n}]"
         return IdealSpec(self.spec, gens, label)
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec.to_json(),
-            "fixed": [self.spec.format(g) for g in self.fixed],
-            "tail": {"monomial": self.spec.format(self.tail_base), "offset": self.tail_offset},
-            "name": self.name,
-        }
 
 
 def _span_of_multiples(polys, algebra: TruncatedAlgebra) -> Subspace:
@@ -166,6 +144,12 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
     spec = ideal.spec
     f = spec.field
     gens = list(ideal.generators) + [spec.f]
+    if D >= 0 and p in gens:
+        # p is its own certificate, in every window D >= 0: cofactor 1 on
+        # its entry, 0 on the others
+        k = gens.index(p)
+        return MemberResult("yes-certified", tuple(
+            Polynomial.constant(f, spec.nvars, int(i == k)) for i in range(len(gens))))
     monos = np.array(monomials_upto(spec.nvars, D), dtype=np.int64).reshape(-1, spec.nvars)
     # one unknown per (generator, monomial) cofactor coefficient, one
     # equation per monomial reached; the equation order does not change the
@@ -194,32 +178,6 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
         for row in particular
     )
     return MemberResult("yes-certified", cofactors)
-
-
-def sum_at(I: IdealSpec, J: IdealSpec, algebra: TruncatedAlgebra) -> Subspace:
-    if I.spec != J.spec:
-        raise SpecError("ideal sum across different rings")
-    return truncate_ideal(I, algebra) + truncate_ideal(J, algebra)
-
-
-def intersect_at(I: IdealSpec, J: IdealSpec, algebra: TruncatedAlgebra):
-    """Exact truncated intersection, with re-verified generator extraction.
-
-    Returns (subspace, generators-or-None): the extracted generators are
-    checked again at level N + 2, and dropped (None) if the lift overfits
-    the truncation.
-    """
-    if I.spec != J.spec:
-        raise SpecError("ideal intersection across different rings")
-    space = truncate_ideal(I, algebra).intersect(truncate_ideal(J, algebra))
-    gens = extract_generators(space, algebra)
-    algebra2 = build_truncation(algebra.spec, algebra.N + 2)
-    expected2 = truncate_ideal(I, algebra2).intersect(truncate_ideal(J, algebra2))
-    got2 = truncate_ideal(IdealSpec(algebra.spec, tuple(gens)) if gens else
-                          IdealSpec(algebra.spec, ()), algebra2)
-    if got2 != expected2:
-        return space, None
-    return space, gens
 
 
 @dataclass(frozen=True)

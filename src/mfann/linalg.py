@@ -271,9 +271,6 @@ class Subspace:
             and np.array_equal(self.basis, other.basis)
         )
 
-    def __hash__(self):
-        return hash((self.ambient, tuple(self.pivots)))
-
     def is_subspace_of(self, other) -> bool:
         return other.contains(self.basis)
 

@@ -224,10 +224,6 @@ class CatalogEntry:
     expected_annihilator: IdealSpec
     locally_free_on_punctured_spectrum: bool
 
-    @property
-    def ring_id(self):
-        return f"{'a' if self.family == 'A-inf' else 'd'}-inf-{self.dim}"
-
 
 # The catalog: ring -> label -> (parametric?, phi, psi, annihilator
 # generators, locally free on the punctured spectrum?), in catalog order.

@@ -127,9 +127,6 @@ class Polynomial:
     def sorted_terms(self, reverse=True):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=reverse)
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), self.field.zero)
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other):

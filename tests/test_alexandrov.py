@@ -1,4 +1,4 @@
-"""Specialization preorder, point closures, closed sets, compactness."""
+"""Specialization preorder and compactness verdicts."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mfann.alexandrov import (
     AnnFamily,
     build_preorder,
-    closure,
     compactness_verdict,
-    down_sets,
 )
 from mfann.families import EXPECTED_VERDICTS, build_family
 from mfann.fields import PrimeField, Rationals
@@ -22,7 +20,7 @@ from mfann.ideals import (
 )
 from mfann.mf import RING_IDS, ring_spec
 from mfann.poly import Polynomial, monomials_below
-from mfann.truncation import build_truncation
+from mfann.truncation import SpecError, build_truncation
 
 F13 = PrimeField(13, 5)
 XX = ring_spec("a-inf-1", F13)
@@ -47,25 +45,6 @@ def test_preorder_of_chain():
     assert ("C", "B") in edges and ("B", "A") in edges and ("C", "A") in edges
     assert ("A", "B") not in edges
     assert all((lab, lab) in edges for lab in "ABC")
-
-
-def test_closure_is_down_set():
-    assert closure(chain_family(), "B") == ["B", "C"]
-    assert closure(chain_family(), "A") == ["A", "B", "C"]
-    assert closure(chain_family(), "C") == ["C"]
-
-
-def test_down_sets_of_two_chain():
-    fam = AnnFamily(XX, (("A", I(XX, "x", "y")), ("B", I(XX, "x", "y^2"))), N=8)
-    sets = down_sets(fam)
-    assert [sorted(s) for s in sets] == [[], ["B"], ["A", "B"]]
-
-
-def test_down_sets_of_antichain():
-    # incomparable ideals: all four subsets are closed
-    fam = AnnFamily(XX, (("A", I(XX, "x", "y^2")), ("B", I(XX, "y"))), N=8)
-    sets = down_sets(fam)
-    assert len(sets) == 4
 
 
 def test_compact_when_minimum_attained():
@@ -107,6 +86,19 @@ def test_not_compact_evidence_for_pure_chain():
     assert verdict.m_primary == "not-m-primary-evidence"
 
 
+@pytest.mark.parametrize("members, parametric", [
+    ((("A", I(XX, "x")), ("A", I(XX, "x", "y"))), ()),
+    ((("A", I(XX, "x", "y")), ("A", I(XX, "x"))), ()),
+    # a finite member named like the first instance of the parametric one
+    ((("phi[n=1]", I(XX, "x")),),
+     (("phi", ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y"), 0), I(XX, "x")),)),
+])
+def test_repeated_label_is_rejected(members, parametric):
+    fam = AnnFamily(XX, members, parametric, N=6)
+    with pytest.raises(SpecError, match="repeated member label"):
+        compactness_verdict(fam)
+
+
 @pytest.mark.parametrize("ring_id", RING_IDS)
 def test_full_families_are_compact(ring_id):
     fam = build_family(ring_id, F13, N=8)
@@ -121,8 +113,6 @@ def test_verdict_serialization_and_dot():
     verdict = compactness_verdict(fam)
     data = verdict.to_json()
     assert data["verdict"] == "compact" and data["minimum"] == "B"
-    dot = verdict.to_dot()
-    assert dot.startswith("digraph") and '"B" -> "A"' in dot
 
 
 FAMILY_CASES = [

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, determinism."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,26 @@ def test_text_format_sorted_generators(capsys):
     code, out, _ = run(capsys, "ann", "d-inf-1/gamma?n=1", "-N", "8", "--format", "text")
     assert code == 0
     assert "computed: (y^2, x*y, x^2)" in out  # ascending graded-lex
+
+
+# sha256 of each subcommand's stdout; change one only with a deliberate
+# change to that report
+@pytest.mark.parametrize("argv, sha256", [
+    (("validate", "a-inf-1"),
+     "3bc3f015002cc53ea17c93a5f4cb060998dee8bf4e10b4f5c09fa616a7dd0b70"),
+    (("ann", "a-inf-1/phi?n=2", "-N", "6"),
+     "ef245451fde53fc7886dfd5bcebc8d3005c5feb87b9cec5feb54f3a4435643b6"),
+    (("ann", "d-inf-1/gamma?n=1", "-N", "6", "--format", "text"),
+     "d57619a86971eab3d460e5b7b65ab9f63fcd99162c6c03a3cede71283299cf52"),
+    (("topology", "d-inf-1", "-N", "6", "--n-max", "3"),
+     "889b5acbaa2a721033dbb51835ad4d61a2faf5fa7a998742b102be4ffa8157cb"),
+    (("double", "a-inf-1/phi?n=1", "-N", "6"),
+     "2f511bdb9f731ffd023529bf8b8607d585be0099e9a0c95fec5ca73c38edafa8"),
+])
+def test_subcommand_reports_are_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_reproduce_reduced_and_deterministic(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Ideal membership, intersections, colength probes, and chain limits."""
+"""Ideal membership, generator extraction, colength probes, and chain limits."""
 
 import pytest
 
@@ -7,11 +7,9 @@ from mfann.ideals import (
     IdealSpec,
     ParametricIdealFamily,
     extract_generators,
-    intersect_at,
     is_m_primary,
     limit_of_chain,
     member,
-    sum_at,
     truncate_ideal,
 )
 from mfann.mf import ring_spec
@@ -33,6 +31,20 @@ def test_member_yes_with_cofactors():
     h = res.cofactors
     # p = h_0 * x + h_last * f exactly
     assert h[0] * XXY.poly("x") + h[-1] * XXY.f == XXY.poly("x^2 + x*y")
+
+
+@pytest.mark.parametrize("p", ["x^2", "x*y", "y^4", "x^2*y"])
+def test_member_of_a_generator_or_f_is_exact(p):
+    # each generator of the ideal, and f = x^2 y itself
+    ideal = I(XXY, "x^2", "x*y", "y^4")
+    p = XXY.poly(p)
+    res = member(p, ideal, N=8, D=3)
+    assert res.status == "yes-certified"
+    *h, h0 = res.cofactors
+    total = h0 * XXY.f
+    for hi, g in zip(h, ideal.generators):
+        total = total + hi * g
+    assert total == p
 
 
 def test_member_uses_ring_equation():
@@ -59,22 +71,6 @@ def test_truncate_ideal_dimension():
     algebra = build_truncation(XX, 6)  # dim 11: 1, y..y^5, x, xy..xy^4
     space = truncate_ideal(I(XX, "x"), algebra)
     assert space.dim == 5  # x, xy, .., xy^4
-
-
-def test_intersection_reproduces_product_like_ideal():
-    algebra = build_truncation(XXY, 8)
-    space, gens = intersect_at(I(XXY, "x"), I(XXY, "x^2", "y"), algebra)
-    assert gens is not None
-    got = IdealSpec(XXY, tuple(gens))
-    expected = I(XXY, "x^2", "x*y")
-    assert truncate_ideal(expected, algebra) == space
-    assert truncate_ideal(got, algebra) == truncate_ideal(expected, algebra)
-
-
-def test_sum_at():
-    algebra = build_truncation(XXY, 6)
-    s = sum_at(I(XXY, "x^2"), I(XXY, "y"), algebra)
-    assert s == truncate_ideal(I(XXY, "x^2", "y"), algebra)
 
 
 def test_extract_generators_round_trip():
