@@ -27,7 +27,8 @@ import numpy as np
 
 from .fields import InvariantError
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
-from .linalg import Subspace, as_array, dot, echelon, mod, neg, null_space, solve, zeros
+from .linalg import (Subspace, _dot_sparse, as_array, dot, echelon, mod, neg, null_space,
+                     solve, zeros)
 from .mf import MatrixFactorization, poly_mat_mul
 from .poly import Polynomial, grlex_key, grlex_keys, monomials_upto
 from .truncation import build_truncation
@@ -122,7 +123,8 @@ def _truncated_data(mf: MatrixFactorization, N: int):
     c, dim_r = len(E), len(R)
     E_blocks = E.reshape(c, n, d).transpose(1, 0, 2).reshape(n * c, d)  # row (i, k)
     R_blocks = R.reshape(dim_r, n, d).transpose(1, 0, 2).reshape(n * dim_r, d)  # row (j, t)
-    rho = dot(E_blocks, R_blocks.T, field).reshape(n, c, n, dim_r)  # [i, k, j, t]
+    # E and R are nearly all zeros, so their product skips them.
+    rho = _dot_sparse(E_blocks, R_blocks.T, field).reshape(n, c, n, dim_r)  # [i, k, j, t]
     system = np.hstack([rho.transpose(2, 1, 0, 3).reshape(n * c, n * dim_r), E_blocks])
     reduced, pivots = echelon(system, field)
     k = bisect.bisect_left(pivots, n * dim_r)
@@ -350,13 +352,10 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
     _searcher.cache_clear()
     _truncated_data.cache_clear()
 
-    if witnessed_vectors:
-        witnessed_span = ideal_subspace_from_vectors(witnessed_vectors, algebra)
-    else:
-        witnessed_span = Subspace.zero_space(algebra.field, algebra.dim)
-    if not remaining and witnessed_span == upper:
-        status = "certified-exact"
-    elif upper.dim == 0:
+    # The witnessed generators' ideal matters only once every generator has
+    # a witness.
+    if upper.dim == 0 or (
+            not remaining and ideal_subspace_from_vectors(witnessed_vectors, algebra) == upper):
         status = "certified-exact"
     elif lower:
         status = "bounded-gap"

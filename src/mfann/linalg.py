@@ -2,9 +2,12 @@
 
 Over F_p a matrix is an int64 array with entries in [0, p).  Since p < 2^31,
 a product of two entries stays below 2^62; `dot` splits long sums so that no
-partial sum reaches 2^63 (delayed modular reduction), and row reduction
-reduces after every step.  Over the rationals a matrix is an object array of
-`Fraction`s, and the same code runs on it.  Nothing here uses floating point.
+partial sum reaches 2^63 (delayed modular reduction), and `_dot_sparse`
+reduces its accumulator as often.  Row reduction first clears the rows with a
+single nonzero entry, which need no arithmetic at all, and reduces mod p
+after every pivot step on the rest.  Over the rationals a matrix is an
+object array of `Fraction`s, and the same code runs on it.  Nothing here
+uses floating point.
 
 `rref`, `kernel`, `solve_affine` and `mat_mul` take and return lists of rows;
 the package itself works on arrays through `echelon`, `null_space`, `solve`
@@ -65,17 +68,28 @@ def dot(A, B, field):
 
 
 def _dot_sparse(A, B, field):
-    # Object arrays pay a Fraction operation per product, so skip the zeros:
-    # one outer product per inner index, over its nonzero rows and columns.
+    # Skip the zeros: one outer product per inner index, over its nonzero rows
+    # and columns.  Object arrays always take this path, since they pay a
+    # Fraction operation per product; callers with mostly-zero int64 operands
+    # call it directly, because numpy has no BLAS for integers.  Over F_p the
+    # accumulator is reduced mod p after every `step` outer products, so that
+    # (p - 1) + step * (p - 1)^2 bounds every partial sum below 2^63.
     A2 = A.reshape(int(np.prod(A.shape[:-1])), A.shape[-1])
     B2 = B.reshape(B.shape[0], int(np.prod(B.shape[1:])))
     out = zeros((A2.shape[0], B2.shape[1]), field)
+    p = field.p if field.is_prime else 0
+    step = (_INT64_MAX - p) // (p - 1) ** 2 if p else None
+    pending = 0
     nz_a, nz_b = A2.astype(bool), B2.astype(bool)
     for t in range(A2.shape[1]):
         rows, cols = np.flatnonzero(nz_a[:, t]), np.flatnonzero(nz_b[t])
         if rows.size and cols.size:
+            if p and pending == step:
+                out %= p
+                pending = 0
             out[np.ix_(rows, cols)] += np.outer(A2[rows, t], B2[t, cols])
-    return out.reshape(A.shape[:-1] + B.shape[1:])
+            pending += 1
+    return mod(out, field).reshape(A.shape[:-1] + B.shape[1:])
 
 
 def mod(A, field):
@@ -92,10 +106,60 @@ def echelon(M, field, transform=False):
 
     Returns (R, pivots) with the zero rows dropped, or (R, pivots, T) with
     R = T M.  R depends only on the row space of M.
+
+    Without a transform, the rows with a single nonzero entry go first: such
+    a row, in column c, gives the pivot row e_c, and zeroing column c in the
+    other rows may leave new ones.  Only the rows left after that run the
+    pivot loop.  T is not unique when rows are dependent, so with a transform
+    the pivot loop takes every row, in order.
+    """
+    nrows, ncols = M.shape
+    if transform:
+        M = np.hstack([M, eye(field, nrows)])
+        r, pivots = _pivot_loop(M, ncols, field)
+        # Copies, so that a stored basis does not pin the whole work array.
+        return M[:r, :ncols].copy(), pivots, M[:r, ncols:].copy()
+    units, rest = _clear_unit_rows(M, field)
+    r, loop_pivots = _pivot_loop(rest, ncols, field)
+    loop_pivots = np.array(loop_pivots, dtype=np.intp)
+    pivots = np.sort(np.concatenate([units, loop_pivots]))
+    R = zeros((pivots.size, ncols), field)
+    R[np.searchsorted(pivots, units), units] = field.one
+    R[np.searchsorted(pivots, loop_pivots)] = rest[:r]
+    return R, pivots.tolist()
+
+
+def _clear_unit_rows(M, field):
+    """(units, rest) for the rows of M.
+
+    `units` are the columns, ascending, that hold the only nonzero entry of
+    some row once the columns found before them are zeroed; `rest` is a copy
+    of the rows that stay nonzero, with every column of `units` zeroed.  The
+    row space of M is spanned by the unit vectors at `units` and the rows of
+    `rest`.
+    """
+    nz = M.astype(bool)
+    counts = nz.sum(axis=1)  # nonzeros outside the cleared columns, per row
+    cleared = np.zeros(M.shape[1], dtype=bool)
+    while True:
+        unit = np.flatnonzero(counts == 1)
+        if not unit.size:
+            break
+        cols = np.unique(np.argmax(nz[unit] & ~cleared, axis=1))
+        counts -= nz[:, cols].sum(axis=1)
+        cleared[cols] = True
+    rest = M[counts > 0]
+    rest[:, cleared] = field.zero
+    return np.flatnonzero(cleared), rest
+
+
+def _pivot_loop(M, ncols, field):
+    """Reduce the first ncols columns of M in place, one pivot at a time.
+
+    Returns (r, pivots): rows r and below are zero there afterwards.
     """
     p = field.p if field.is_prime else 0
-    nrows, ncols = M.shape
-    M = np.hstack([M, eye(field, nrows)]) if transform else M.copy()
+    nrows = M.shape[0]
     r = 0
     pivots = []
     for c in range(ncols):
@@ -122,10 +186,7 @@ def echelon(M, field, transform=False):
         M[r, c:] = row
         pivots.append(c)
         r += 1
-    # Copies, so that a stored basis does not pin the whole work array.
-    if transform:
-        return M[:r, :ncols].copy(), pivots, M[:r, ncols:].copy()
-    return M[:r].copy(), pivots
+    return r, pivots
 
 
 def null_space(R, pivots, ncols, field):

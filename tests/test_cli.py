@@ -143,6 +143,15 @@ def test_subcommand_reports_are_pinned(capsys, argv, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_bounded_gap_report_is_pinned(capsys):
+    # -D 0 leaves generators unwitnessed: the report is bounded-gap, exit 2
+    code, out, _ = run(capsys, "ann", "d-inf-2/delta+?n=2", "-N", "8", "-D", "0")
+    assert code == 2
+    assert json.loads(out)["result"]["status"] == "bounded-gap"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8fc71bd47f2fdf89ffad4a4b2752cb1840ff0ac9eef1d8a89f3d9d1329073b6c")
+
+
 def test_reproduce_reduced_and_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["reproduce-paper", "-N", "6", "--n-max", "1"]

@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
-from mfann.linalg import Subspace, kernel, mat_mul, rref, solve_affine
+from mfann.linalg import (Subspace, _dot_sparse, as_array, dot, echelon, kernel, mat_mul,
+                          rref, solve_affine)
 
 F13 = PrimeField(13, 5)
+F_BIG = PrimeField(2**31 - 1)
 QQ = Rationals()
 
 entries = st.integers(0, 12)
@@ -132,3 +136,97 @@ def test_preimage():
     assert pre.dim == 2
     assert pre.contains([1, 0, 0]) and pre.contains([0, 0, 1])
     assert not pre.contains([0, 1, 0])
+
+
+over_three_fields = pytest.mark.parametrize("field", [F13, F_BIG, QQ], ids=["F13", "F2^31-1", "Q"])
+
+
+def nonzero_elements(field):
+    if field.is_prime:
+        return st.integers(1, field.p - 1)
+    return st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 7))
+
+
+@st.composite
+def sparse_matrices(draw, field, max_rows=10, max_cols=10):
+    """Random rows with at most 30% nonzeros, plus unit rows (some sharing a
+    column) and zero rows, in a shuffled order."""
+    nrows, ncols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    cells = [(i, j) for i in range(nrows) for j in range(ncols)]
+    M = as_array([[field.zero] * ncols for _ in range(nrows)], field, ncols)
+    for i, j in draw(st.permutations(cells))[:draw(st.integers(0, 3 * len(cells) // 10))]:
+        M[i, j] = draw(nonzero_elements(field))
+    extra = []
+    if ncols:
+        for j in draw(st.lists(st.integers(0, ncols - 1), max_size=5)):
+            for _ in range(draw(st.integers(1, 3))):  # several unit rows in column j
+                row = [field.zero] * ncols
+                row[j] = draw(nonzero_elements(field))
+                extra.append(row)
+    extra += [[field.zero] * ncols] * draw(st.integers(0, 2))
+    if extra:
+        M = np.vstack([M, as_array(extra, field)])
+    return M[draw(st.permutations(range(len(M))))] if len(M) else M
+
+
+def assert_unit_pass_matches_loop(M, field):
+    before = M.copy()
+    R, pivots = echelon(M, field)
+    R_loop, pivots_loop, _T = echelon(M, field, transform=True)  # the pivot loop alone
+    assert np.array_equal(M, before)
+    assert pivots == pivots_loop and all(type(c) is int for c in pivots)
+    assert R.shape == R_loop.shape == (len(pivots), M.shape[1])
+    assert np.array_equal(R, R_loop)
+    assert is_rref(R.tolist(), field)
+
+
+@over_three_fields
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_unit_rows_first_matches_the_pivot_loop(field, data):
+    assert_unit_pass_matches_loop(data.draw(sparse_matrices(field)), field)
+
+
+@over_three_fields
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+def test_echelon_of_empty_shapes(field, shape):
+    assert_unit_pass_matches_loop(as_array([], field, shape[1]).reshape(shape), field)
+
+
+def test_unit_rows_chain():
+    # clearing column 0 makes row 1 a unit row; clearing its column 2 makes
+    # rows 2 and 3 unit rows
+    M = as_array([[3, 0, 0, 0], [5, 0, 7, 0], [0, 1, 2, 0], [0, 0, 4, 4]], F13)
+    R, pivots = echelon(M, F13)
+    assert pivots == [0, 1, 2, 3] and np.array_equal(R, np.eye(4, dtype=np.int64))
+
+
+def test_dot_sparse_at_the_largest_prime():
+    p = F_BIG.p
+    A = np.full((1, 8), p - 1, dtype=np.int64)
+    # eight products (p-1)^2 = 1 mod p; any three of them overflow int64
+    assert _dot_sparse(A, A.T, F_BIG).tolist() == [[8]]
+    assert _dot_sparse(A, A[0], F_BIG).tolist() == [8]
+
+
+def fraction_product(A, B):
+    (m, k), n = A.shape, B.shape[1]
+    return [[sum((A[i, t] * B[t, j] for t in range(k)), Fraction(0)) for j in range(n)]
+            for i in range(m)]
+
+
+@over_three_fields
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dot_sparse_matches_dot(field, data):
+    A = data.draw(sparse_matrices(field, max_cols=6))
+    B = data.draw(sparse_matrices(field, max_rows=6)).T  # zero and unit columns
+    k = min(A.shape[1], B.shape[0])
+    A, B = A[:, :k], B[:k]
+    product = _dot_sparse(A, B, field)
+    assert product.shape == (A.shape[0], B.shape[1])
+    if field.is_prime:
+        assert product.dtype == np.int64
+        assert np.array_equal(product, dot(A, B, field))
+    else:
+        assert product.tolist() == fraction_product(A, B)
