@@ -27,10 +27,9 @@ import numpy as np
 
 from .fields import InvariantError
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
-from .linalg import (Subspace, _dot_sparse, as_array, dot, echelon, mod, neg, null_space,
-                     solve, zeros)
+from .linalg import Subspace, _dot_sparse, dot, echelon, mod, neg, null_space, solve
 from .mf import MatrixFactorization, poly_mat_mul
-from .poly import Polynomial, grlex_key, grlex_keys, monomials_upto
+from .poly import CoefficientSpace, Polynomial, grlex_key, monomials_upto
 from .truncation import build_truncation
 
 __all__ = [
@@ -88,20 +87,41 @@ def row_col_bound(mf: MatrixFactorization):
 
 
 # ---------------------------------------------------------------------------
-# truncated solves
+# the system, over R_N or over exact coefficients
 # ---------------------------------------------------------------------------
 
 
-def _span_of_rows(mat, algebra):
-    """Subspace of (R_N)^n spanned by b * (row a of mat) over the rows a and
-    the basis monomials b, one block of width dim R_N per entry."""
-    multiples = {}
+def _blocks(mat, multiples):
+    """Rows b * (row a of mat) over the rows a of the polynomial matrix mat
+    and the multipliers b: block (a, j) is multiples(mat[a][j])."""
+    out = {}
     for row in mat:
         for e in row:
-            if e not in multiples:
-                multiples[e] = algebra.multiplication_operator(e).T
-    gens = np.block([[multiples[e] for e in row] for row in mat])
-    return Subspace.from_vectors(algebra.field, len(mat) * algebra.dim, gens)
+            if e not in out:
+                out[e] = multiples(e)
+    return np.block([[out[e] for e in row] for row in mat])
+
+
+def _system(G, H, n, field):
+    """(E, S) such that phi*alpha + beta*psi = r*I is solvable exactly when
+    S y = E r is.
+
+    The rows of G span the columns that phi*alpha can take, and the rows of
+    H those that a row of beta*psi can take, each as n blocks of coordinates.
+    The system asks for rho_i in span H (row i of beta*psi, with y_i its
+    coordinates on the rows of H) such that column J of r*I - (rho_i)_i lies
+    in span G for every J.  With E the complement functionals of span G,
+    in rows (i, k) for block i of functional k, this is
+    E_J r = sum_i E_i rho_i[block J]: S has rows (J, k) and columns (i, t).
+    """
+    d = G.shape[1] // n
+    E = Subspace.from_vectors(field, n * d, G).complement_functionals()
+    c, h = len(E), len(H)
+    E = E.reshape(c, n, d).transpose(1, 0, 2).reshape(n * c, d)  # row (i, k)
+    H = H.reshape(h, n, d).transpose(1, 0, 2).reshape(n * h, d)  # row (j, t)
+    # E and H are nearly all zeros, so their product skips them.
+    rho = _dot_sparse(E, H.T, field).reshape(n, c, n, h)  # [i, k, j, t]
+    return E, rho.transpose(2, 1, 0, 3).reshape(n * c, n * h)
 
 
 @functools.lru_cache(maxsize=64)
@@ -109,26 +129,22 @@ def _truncated_data(mf: MatrixFactorization, N: int):
     """R_N and constraint rows K (reduced echelon, with their pivots) such
     that phi*alpha + beta*psi = r*I is solvable in R_N exactly when K r = 0.
 
-    beta*psi ranges over the matrices whose rows lie in the row space R, so
-    the system asks for rho_i in R (row i of beta*psi) with column j of
-    r*I - (rho_i)_i inside the column space C for every j.  With E the
-    complement functionals of C this is E_j r = sum_i E_i rho_i[block j].
-    Eliminating the rho coordinates first leaves the rows that constrain r
-    alone; the sign of the rho columns does not change them.
+    Eliminating y from S y = E r first leaves the rows that constrain r
+    alone; the sign of the y columns does not change them.
     """
     algebra = build_truncation(mf.spec, N)
-    field, n, d = algebra.field, mf.n, algebra.dim
-    E = _span_of_rows(list(zip(*mf.phi)), algebra).complement_functionals()
-    R = _span_of_rows(mf.psi, algebra).basis
-    c, dim_r = len(E), len(R)
-    E_blocks = E.reshape(c, n, d).transpose(1, 0, 2).reshape(n * c, d)  # row (i, k)
-    R_blocks = R.reshape(dim_r, n, d).transpose(1, 0, 2).reshape(n * dim_r, d)  # row (j, t)
-    # E and R are nearly all zeros, so their product skips them.
-    rho = _dot_sparse(E_blocks, R_blocks.T, field).reshape(n, c, n, dim_r)  # [i, k, j, t]
-    system = np.hstack([rho.transpose(2, 1, 0, 3).reshape(n * c, n * dim_r), E_blocks])
-    reduced, pivots = echelon(system, field)
-    k = bisect.bisect_left(pivots, n * dim_r)
-    return algebra, reduced[k:, n * dim_r:], [q - n * dim_r for q in pivots[k:]]
+    field, n = algebra.field, mf.n
+
+    def multiples(e):
+        return algebra.multiplication_operator(e).T
+
+    G = _blocks(list(zip(*mf.phi)), multiples)
+    H, _pivots = echelon(_blocks(mf.psi, multiples), field)
+    E, S = _system(G, H, n, field)
+    w = S.shape[1]
+    reduced, pivots = echelon(np.hstack([S, E]), field)
+    k = bisect.bisect_left(pivots, w)
+    return algebra, reduced[k:, w:], [q - w for q in pivots[k:]]
 
 
 def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
@@ -162,126 +178,69 @@ def membership_truncated(mf: MatrixFactorization, r: Polynomial, N: int) -> bool
 class _WitnessSearcher:
     """Degree-bounded exact solver for phi*alpha + beta*psi - r*I = f*gamma.
 
-    The generator set for the column side is {m * phi[:, i]} together with
-    the single-entry vectors {f * m e_k} absorbing gamma; beta is eliminated
-    against the quotient by that span, exactly as in the truncated solve but
-    over genuine polynomial coefficient space (no truncation, hence exact).
-    Polynomials are coefficient vectors over the support: the `grlex_keys`
-    of every monomial the generators and the beta products reach, ascending.
+    The same system as the truncated solve, over exact polynomial
+    coefficients (no truncation, hence exact): the column side is spanned by
+    {m * phi[:, i]} and the vectors {f * m e_k} that absorb gamma, the row
+    side by {m * psi[j, :]}, so y holds the coefficients of beta.
     """
 
     def __init__(self, mf: MatrixFactorization, D: int):
         self.mf = mf
-        self.D = D
         spec = mf.spec
         field = spec.field
         n, nv = mf.n, spec.nvars
-        entry_deg = max(
-            [e.degree() for row in mf.phi for e in row if not e.is_zero]
-            + [e.degree() for row in mf.psi for e in row if not e.is_zero]
-        )
-        self.gamma_bound = max(D + entry_deg - spec.f.min_degree(), 0)
+        entries = [e for row in list(mf.phi) + list(mf.psi) for e in row]
+        gamma_bound = max(D + max(e.degree() for e in entries) - spec.f.min_degree(), 0)
         self.alpha_monos = monomials_upto(nv, D)
-        self.gamma_monos = monomials_upto(nv, self.gamma_bound)
-        na, ng = len(self.alpha_monos), len(self.gamma_monos)
+        self.gamma_monos = monomials_upto(nv, gamma_bound)
+        self.space = CoefficientSpace(
+            nv, [(spec.f, self.gamma_monos)] + [(e, self.alpha_monos) for e in entries])
 
-        def shifted(p, monos):
-            exps = np.array(list(p.terms), dtype=np.int64).reshape(-1, nv)
-            return (exps[:, None, :] + np.array(monos, dtype=np.int64),
-                    as_array(list(p.terms.values()), field))
+        def blocks(mat, monos):
+            return _blocks(mat, lambda e: self.space.multiples(e, monos, field))
 
-        products = {"f": shifted(spec.f, self.gamma_monos)}
-        for a in range(n):
-            for b in range(n):
-                products["phi", a, b] = shifted(mf.phi[a][b], self.alpha_monos)
-                products["psi", a, b] = shifted(mf.psi[a][b], self.alpha_monos)
-        self._base = 1 + max(int(e.max(initial=0)) for e, _ in products.values())
-        self.support = np.unique(np.concatenate(
-            [grlex_keys(e, self._base).ravel() for e, _ in products.values()] + [[0]]))
-        # (support index of term t times monomial m, coefficient of term t)
-        self.shift = shift = {k: (np.searchsorted(self.support, grlex_keys(e, self._base)), c)
-                              for k, (e, c) in products.items()}
-        s = len(self.support)
-
-        # generator rows: ("a", i, m) = m * phi[:, i], then ("g", k, m) = f * m e_k
-        gens = zeros((n * na + n * ng, n * s), field)
-        for i in range(n):
-            for k in range(n):
-                at, coeffs = shift["phi", k, i]
-                gens[i * na + np.arange(na), k * s + at] = coeffs[:, None]
-        for k in range(n):
-            at, coeffs = shift["f"]
-            gens[n * na + k * ng + np.arange(ng), k * s + at] = coeffs[:, None]
-        basis, pivots, self.transform = echelon(gens, field, transform=True)
-        self.col_space = Subspace(field, n * s, basis, pivots)
-        E = self.col_space.complement_functionals()
-        c = len(E)
-        E = E.reshape(c, n, s)
-        self.rhs = E.transpose(1, 0, 2).reshape(n * c, s)  # row (J, k): E_J[k]
-
-        # beta[i][j] monomial m adds E_i (m * psi[j][J]) to equation block J;
+        zero = Polynomial.zero(field, nv)
+        absorbers = [[spec.f if k == j else zero for j in range(n)] for k in range(n)]
+        # rows (i, m) = m * phi[:, i], then (k, m) = f * m e_k
+        self.G = np.vstack([blocks(list(zip(*mf.phi)), self.alpha_monos),
+                            blocks(absorbers, self.gamma_monos)])
+        self.H = blocks(mf.psi, self.alpha_monos)  # rows (j, m) = m * psi[j, :]
         # built once, since only the right-hand side depends on r
-        system = zeros((n, c, n, n, na), field)  # [J, k, i, j, m]
-        for j in range(n):
-            for J in range(n):
-                at, coeffs = shift["psi", j, J]
-                if len(coeffs):
-                    system[J, :, :, j, :] = dot(
-                        E[:, :, at].transpose(0, 1, 3, 2), coeffs, field)
-        self.system = system.reshape(n * c, n * n * na)
+        self.E, self.S = _system(self.G, self.H, n, field)
 
-    def _poly(self, coeffs, monos):
+    def _matrix(self, coeffs, monos):
+        """The polynomial matrix whose entry (i, j) has coefficients coeffs[i, j]."""
         field = self.mf.spec.field
-        return Polynomial(field, self.mf.spec.nvars,
-                          {m: field.coerce(c) for m, c in zip(monos, coeffs)})
+        return tuple(tuple(
+            Polynomial(field, self.mf.spec.nvars, {m: field.coerce(c) for m, c in zip(monos, e)})
+            for e in row) for row in coeffs)
 
     def search(self, r: Polynomial):
         mf = self.mf
         field = mf.spec.field
-        n, s, na = mf.n, len(self.support), len(self.alpha_monos)
-        exps = np.array(list(r.terms), dtype=np.int64).reshape(-1, mf.spec.nvars)
-        keys = grlex_keys(exps, self._base)
-        at = np.minimum(np.searchsorted(self.support, keys), s - 1)
-        if exps.max(initial=0) >= self._base or np.any(self.support[at] != keys):
+        n, na = mf.n, len(self.alpha_monos)
+        r_vec = self.space.vector(r, field)
+        if r_vec is None:
             return None  # the right-hand side escapes the reachable monomials
-        r_vec = zeros(s, field)
-        r_vec[at] = list(r.terms.values())
-        beta_coeffs = zeros((n, n, na), field)
-        if len(self.system):
-            sol = solve(self.system, dot(self.rhs, r_vec, field), field)
-            if sol is None:
-                return None
-            beta_coeffs = sol[0].reshape(n, n, na)
-        beta = [[self._poly(beta_coeffs[i, j], self.alpha_monos) for j in range(n)]
-                for i in range(n)]
-
-        # residual per column: r*e_J - (beta*psi) column J, expressed in the
-        # generator span to recover alpha and gamma
-        alpha = [[None] * n for _ in range(n)]
-        gamma = [[None] * n for _ in range(n)]
-        for J in range(n):
-            col = zeros((n, s), field)
-            for j in range(n):
-                at, coeffs = self.shift["psi", j, J]
-                for t in range(len(coeffs)):
-                    col[:, at[t]] = mod(col[:, at[t]] + coeffs[t] * beta_coeffs[:, j, :], field)
-            col = neg(col, field)
-            col[J] = mod(col[J] + r_vec, field)
-            coords = self.col_space.coords(col.reshape(-1))
-            if coords is None:
-                return None
-            # back to original generator coordinates through the transform
-            gen_coords = dot(coords, self.transform, field)
-            a_part = gen_coords[:n * na].reshape(n, na)
-            g_part = neg(gen_coords[n * na:], field).reshape(n, -1)
-            for k in range(n):
-                alpha[k][J] = self._poly(a_part[k], self.alpha_monos)
-                gamma[k][J] = self._poly(g_part[k], self.gamma_monos)
+        sol = solve(self.S, dot(self.E, r_vec, field), field)
+        if sol is None:
+            return None
+        y = sol[0].reshape(n, -1)  # row i: beta[i][j] at (j, m)
+        # column J of r*I - beta*psi, one right-hand side each, expressed in
+        # the rows of G to recover alpha and gamma
+        cols = neg(dot(y, self.H, field), field).reshape(n, n, -1)  # [i, J]
+        diag = np.arange(n)
+        cols[diag, diag] = mod(cols[diag, diag] + r_vec, field)
+        sol = solve(self.G.T, cols.transpose(0, 2, 1).reshape(-1, n), field)
+        if sol is None:
+            raise InvariantError("the residual of a solved system left the column span")
+        x = sol[0]  # rows as in G, column J
         witness = Witness(
             r,
-            tuple(tuple(row) for row in alpha),
-            tuple(tuple(row) for row in beta),
-            tuple(tuple(row) for row in gamma),
+            self._matrix(x[:n * na].reshape(n, na, n).transpose(0, 2, 1), self.alpha_monos),
+            self._matrix(y.reshape(n, n, na), self.alpha_monos),
+            self._matrix(neg(x[n * na:], field).reshape(n, -1, n).transpose(0, 2, 1),
+                         self.gamma_monos),
         )
         if not witness.verify(mf):
             raise InvariantError("recovered witness failed exact verification")

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Subspace, as_array, solve, zeros
-from .poly import Polynomial, grlex_keys, monomials_upto
+from .linalg import Subspace, as_array, solve
+from .poly import CoefficientSpace, Polynomial, monomials_upto
 from .truncation import RingSpec, SpecError, TruncatedAlgebra, build_truncation
 
 __all__ = [
@@ -150,21 +150,12 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
         k = gens.index(p)
         return MemberResult("yes-certified", tuple(
             Polynomial.constant(f, spec.nvars, int(i == k)) for i in range(len(gens))))
-    monos = np.array(monomials_upto(spec.nvars, D), dtype=np.int64).reshape(-1, spec.nvars)
+    monos = monomials_upto(spec.nvars, D)
     # one unknown per (generator, monomial) cofactor coefficient, one
-    # equation per monomial reached; the equation order does not change the
-    # canonical solution
-    exps = [np.array(list(g.terms), dtype=np.int64)[:, None, :] + monos for g in gens]
-    exps.append(np.array(list(p.terms), dtype=np.int64).reshape(-1, spec.nvars))
-    base = 1 + max(int(e.max(initial=0)) for e in exps)
-    keys = [grlex_keys(e, base) for e in exps]
-    support = np.unique(np.concatenate([k.ravel() for k in keys]))
-    A = zeros((len(support), len(gens) * len(monos)), f)
-    for k, g in enumerate(gens):
-        coeffs = as_array(list(g.terms.values()), f)[:, None]
-        A[np.searchsorted(support, keys[k]), k * len(monos) + np.arange(len(monos))] = coeffs
-    b = zeros(len(support), f)
-    b[np.searchsorted(support, keys[-1])] = list(p.terms.values())
+    # equation per monomial reached
+    space = CoefficientSpace(spec.nvars, [(g, monos) for g in gens] + [(p, [(0,) * spec.nvars])])
+    A = np.vstack([space.multiples(g, monos, f) for g in gens]).T
+    b = space.vector(p, f)
     sol = solve(A, b, f)
     if sol is None:
         # exact cofactors put reduce(p) inside the truncated ideal, so the
@@ -174,7 +165,7 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
         return MemberResult("undetermined")
     particular = sol[0].reshape(len(gens), len(monos))
     cofactors = tuple(
-        Polynomial(f, spec.nvars, {tuple(m): f.coerce(c) for m, c in zip(monos.tolist(), row)})
+        Polynomial(f, spec.nvars, {m: f.coerce(c) for m, c in zip(monos, row)})
         for row in particular
     )
     return MemberResult("yes-certified", cofactors)

@@ -5,9 +5,12 @@ a product of two entries stays below 2^62; `dot` splits long sums so that no
 partial sum reaches 2^63 (delayed modular reduction), and `_dot_sparse`
 reduces its accumulator as often.  Row reduction first clears the rows with a
 single nonzero entry, which need no arithmetic at all, and reduces mod p
-after every pivot step on the rest.  Over the rationals a matrix is an
-object array of `Fraction`s, and the same code runs on it.  Nothing here
-uses floating point.
+after every pivot step on the rest.  This is the only elimination path:
+`echelon` returns the reduced form and its pivots and nothing else, and the
+coordinates of a vector in the span of given rows come from `solve` on
+their transpose, whose particular solution is canonical.  Over the
+rationals a matrix is an object array of `Fraction`s, and the same code
+runs on it.  Nothing here uses floating point.
 
 `rref`, `kernel`, `solve_affine` and `mat_mul` take and return lists of rows;
 the package itself works on arrays through `echelon`, `null_space`, `solve`
@@ -101,24 +104,16 @@ def neg(A, field):
     return mod(-A, field)
 
 
-def echelon(M, field, transform=False):
-    """Reduced row echelon form of the 2-D array M, which is left unchanged.
+def echelon(M, field):
+    """Reduced row echelon form (R, pivots) of the 2-D array M, which is left
+    unchanged, with the zero rows dropped.  R depends only on the row space
+    of M.
 
-    Returns (R, pivots) with the zero rows dropped, or (R, pivots, T) with
-    R = T M.  R depends only on the row space of M.
-
-    Without a transform, the rows with a single nonzero entry go first: such
-    a row, in column c, gives the pivot row e_c, and zeroing column c in the
-    other rows may leave new ones.  Only the rows left after that run the
-    pivot loop.  T is not unique when rows are dependent, so with a transform
-    the pivot loop takes every row, in order.
+    The rows with a single nonzero entry go first: such a row, in column c,
+    gives the pivot row e_c, and zeroing column c in the other rows may leave
+    new ones.  Only the rows left after that run the pivot loop.
     """
-    nrows, ncols = M.shape
-    if transform:
-        M = np.hstack([M, eye(field, nrows)])
-        r, pivots = _pivot_loop(M, ncols, field)
-        # Copies, so that a stored basis does not pin the whole work array.
-        return M[:r, :ncols].copy(), pivots, M[:r, ncols:].copy()
+    ncols = M.shape[1]
     units, rest = _clear_unit_rows(M, field)
     r, loop_pivots = _pivot_loop(rest, ncols, field)
     loop_pivots = np.array(loop_pivots, dtype=np.intp)
@@ -202,15 +197,20 @@ def null_space(R, pivots, ncols, field):
 def solve(A, b, field):
     """(particular, null space rows) of A x = b, or None if inconsistent.
 
-    The particular solution is the one with every free variable zero.
+    b is a vector, or a matrix with one right-hand side per column; then the
+    particular solution has one column per right-hand side, and None means
+    that some column is inconsistent.  The particular solution is the one
+    with every free variable zero.
     """
     ncols = A.shape[1]
-    R, pivots = echelon(np.hstack([A, b.reshape(-1, 1)]), field)
-    if ncols in pivots:
+    B = b[:, None] if b.ndim == 1 else b
+    R, pivots = echelon(np.hstack([A, B]), field)
+    if pivots and pivots[-1] >= ncols:
         return None
-    particular = zeros(ncols, field)
-    particular[pivots] = R[:, ncols]
-    return particular, null_space(R[:, :ncols], pivots, ncols, field)
+    particular = zeros((ncols, B.shape[1]), field)
+    particular[pivots] = R[:, ncols:]
+    return (particular if b.ndim == 2 else particular[:, 0],
+            null_space(R[:, :ncols], pivots, ncols, field))
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +218,13 @@ def solve(A, b, field):
 # ---------------------------------------------------------------------------
 
 
-def rref(rows, field, transform=False):
-    """Reduced row echelon form.
-
-    Returns (basis_rows, pivot_columns) or, with transform=True,
-    (basis_rows, pivot_columns, T) where basis = T applied to the input rows.
-    Zero rows are dropped.  Deterministic for a fixed row order.
-    """
+def rref(rows, field):
+    """Reduced row echelon form (basis_rows, pivot_columns), zero rows dropped.
+    Deterministic for a fixed row order."""
     if not rows:
-        return ([], [], []) if transform else ([], [])
-    out = echelon(as_array(rows, field), field, transform)
-    return (out[0].tolist(), out[1]) + ((out[2].tolist(),) if transform else ())
+        return [], []
+    R, pivots = echelon(as_array(rows, field), field)
+    return R.tolist(), pivots
 
 
 def mat_mul(A, B, field):
@@ -310,13 +306,6 @@ class Subspace:
     def contains(self, v) -> bool:
         """Whether v, or every row of a 2-D v, lies in the subspace."""
         return not np.count_nonzero(self.residual(v))
-
-    def coords(self, v):
-        """Coordinates of v in the echelon basis, or None if not contained."""
-        v = as_array(v, self.field)
-        if not self.contains(v):
-            return None
-        return v[self.pivots]
 
     def complement_functionals(self):
         """Rows of a matrix E with kernel exactly this subspace."""

@@ -13,10 +13,12 @@ import re
 import numpy as np
 
 from .fields import SpecError, json_check, json_item
+from .linalg import as_array, zeros
 
 Monomial = tuple
 
 __all__ = [
+    "CoefficientSpace",
     "Monomial",
     "Polynomial",
     "grlex_key",
@@ -70,6 +72,49 @@ def monomials_upto(nvars: int, d: int) -> list:
 def monomials_below(nvars: int, n: int) -> list:
     """All monomials of total degree < n, ascending graded-lex."""
     return monomials_upto(nvars, n - 1)
+
+
+class CoefficientSpace:
+    """Polynomials as coefficient vectors over a finite support: the
+    monomials of p * m over the pairs (p, monos) it is built from, one
+    coordinate each, ascending graded-lex."""
+
+    def __init__(self, nvars: int, pairs):
+        self.nvars = nvars
+        exps = [self._shifted(p, monos) for p, monos in pairs]
+        self.base = 1 + max(int(e.max(initial=0)) for e in exps)
+        self.keys = np.unique(np.concatenate([grlex_keys(e, self.base).ravel() for e in exps]))
+        self.dim = len(self.keys)
+
+    def _shifted(self, p, monos):
+        """The exponents of m * t over the terms t of p and m in monos: [t, m]."""
+        return (np.array(list(p.terms), dtype=np.int64).reshape(-1, 1, self.nvars)
+                + np.array(monos, dtype=np.int64).reshape(-1, self.nvars))
+
+    def _at(self, p, monos):
+        """The coordinates [t, m] of m * t, or None if one leaves the support
+        (an exponent reaching base would alias another key)."""
+        exps = self._shifted(p, monos)
+        keys = grlex_keys(exps, self.base)
+        at = np.searchsorted(self.keys, keys)
+        if (exps.max(initial=0) >= self.base or np.any(at == self.dim)
+                or np.any(self.keys[at] != keys)):
+            return None
+        return at
+
+    def multiples(self, p, monos, field):
+        """Rows m * p over m in monos; ValueError if one leaves the space."""
+        at = self._at(p, monos)
+        if at is None:
+            raise ValueError("multiples outside the coefficient space")
+        out = zeros((len(monos), self.dim), field)
+        out[np.arange(len(monos)), at] = as_array(list(p.terms.values()), field)[:, None]
+        return out
+
+    def vector(self, p, field):
+        """The coefficient vector of p, or None if p leaves the space."""
+        one = [(0,) * self.nvars]
+        return None if self._at(p, one) is None else self.multiples(p, one, field)[0]
 
 
 class Polynomial:

@@ -16,14 +16,15 @@ from mfann.annihilator import (
     row_col_bound,
     witness_search,
 )
-from mfann.fields import PrimeField
+from mfann.fields import PrimeField, Rationals
 from mfann.ideals import truncate_ideal
 from mfann.linalg import Subspace
-from mfann.mf import catalog, ring_spec, swap
+from mfann.mf import catalog, catalog_labels, ring_spec, swap
 from mfann.poly import Polynomial
 from mfann.truncation import build_truncation
 
 F13 = PrimeField(13, 5)
+QQ = Rationals()
 
 
 def dense_annihilator_oracle(mf, N):
@@ -165,3 +166,18 @@ def test_truncation_monotonicity():
     down = annihilator_truncated(mf, 7)
     for row in up.basis:
         assert down.contains(small.project_from(big, row))
+
+
+@pytest.mark.parametrize("field", [F13, QQ], ids=["F13", "Q"])
+@pytest.mark.parametrize("ring_id", ["a-inf-1", "d-inf-1", "d-inf-2"])
+def test_reported_witness_degree_is_the_least_degree_with_a_witness(ring_id, field):
+    # The report prints a witness only through max_degree(), so any witness
+    # found at the least degree D gives the same report.
+    for label, parametric in catalog_labels(ring_id):
+        for n in ((1, 2) if parametric else (None,)):
+            mf = catalog(ring_id, label, n, field).mf
+            result = annihilate(mf, N=8, D=n + 2 if parametric else 3)
+            for g, w in result.lower:
+                least = next(D for D in range(result.D + 1)
+                             if witness_search(mf, g, D) is not None)
+                assert w.max_degree() == least, (mf.label, g)

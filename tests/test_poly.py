@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials: parsing, arithmetic, graded-lex order."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
 from mfann.poly import (
+    CoefficientSpace,
     Polynomial,
     grlex_key,
     mono_deg,
@@ -112,3 +114,41 @@ def test_degree_multiplicative(p, q):
 @given(polys, polys, polys)
 def test_mul_distributes(p, q, r):
     assert p * (q + r) == p * q + p * r
+
+
+def rational_polys():
+    fractions = st.fractions(max_denominator=5).filter(bool).map(Rationals().coerce)
+    return st.dictionaries(monos, fractions, max_size=5).map(
+        lambda d: Polynomial(Rationals(), 2, d))
+
+
+@pytest.mark.parametrize("strategy", [polys, rational_polys()], ids=["F13", "Q"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_coefficient_space_multiples_are_products(strategy, data):
+    p, q = data.draw(strategy), data.draw(strategy)
+    shifts = monomials_upto(2, 2)
+    space = CoefficientSpace(2, [(p, shifts), (q, [(0, 0)])])
+    rows = space.multiples(p, shifts, p.field)
+    assert rows.shape == (len(shifts), space.dim)
+    for row, m in zip(rows, shifts):
+        assert np.array_equal(row, space.vector(p * Polynomial.from_monomial(p.field, m), p.field))
+    # coordinates ascend in graded-lex order
+    v = space.vector(q, q.field)
+    assert v[v != 0].tolist() == [c for _m, c in q.sorted_terms(reverse=False)]
+
+
+def test_coefficient_space_rejects_what_it_cannot_hold():
+    x, y = P("x"), P("y")
+    space = CoefficientSpace(2, [(x, monomials_upto(2, 1))])  # x, then x*y, x^2
+    assert space.vector(P("x^2 + 2*x*y"), F13).tolist() == [0, 2, 1]
+    assert space.vector(y, F13) is None
+    with pytest.raises(ValueError):
+        space.multiples(y, [(0, 0)], F13)
+    # With base 3 the key of x^e is 4e, which wraps in int64: x^(2 + 2^62)
+    # gets the key of x^2, so only the exponent check rules it out.
+    line = CoefficientSpace(1, [(Polynomial.variable(F13, 1, 0), [(0,), (1,)])])
+    assert line.base == 3
+    huge = Polynomial.variable(F13, 1, 0, power=2 + 2**62)
+    assert line.vector(Polynomial.variable(F13, 1, 0, power=2), F13) is not None
+    assert line.vector(huge, F13) is None
