@@ -59,9 +59,8 @@ class AnnFamily:
         return out
 
 
-def _truncations(family: AnnFamily, n_max: int, spaces=None):
-    """R_N, the labeled members and their truncated subspaces by label,
-    computed unless given, once per distinct generator tuple."""
+def _truncations(family: AnnFamily, n_max: int):
+    """R_N, the labeled members and their truncated subspaces by label."""
     if not family.members and not family.parametric:
         raise SpecError("empty family")
     algebra = build_truncation(family.ring, family.N)
@@ -71,14 +70,11 @@ def _truncations(family: AnnFamily, n_max: int, spaces=None):
         if lab in seen:
             raise SpecError(f"repeated member label {lab!r}")
         seen.add(lab)
-    if spaces is None:
-        distinct = {ideal.generators: ideal for _lab, ideal in labeled}
-        by_gens = {gens: truncate_ideal(ideal, algebra) for gens, ideal in distinct.items()}
-        spaces = {lab: by_gens[ideal.generators] for lab, ideal in labeled}
+    spaces = {lab: truncate_ideal(ideal, algebra) for lab, ideal in labeled}
     return algebra, labeled, spaces
 
 
-def build_preorder(family: AnnFamily, n_max: int = 5, spaces=None):
+def build_preorder(family: AnnFamily, n_max: int = 5):
     """Edges (X, Y) with Ann(X) <= Ann(Y) at truncation, X-major in member
     order; reflexive and transitive by construction, checked afterwards.
 
@@ -86,10 +82,9 @@ def build_preorder(family: AnnFamily, n_max: int = 5, spaces=None):
     is an ideal of R_N, and the truncation of Ann(X) is the ideal of R_N
     generated by the reduced generators of Ann(X), so the first contains the
     second exactly when it contains those few rows.  One residual per member
-    Y tests the stacked generator rows of every X at once.  `spaces`, the
-    members' truncated subspaces by label, saves computing them again.
+    Y tests the stacked generator rows of every X at once.
     """
-    algebra, labeled, spaces = _truncations(family, n_max, spaces)
+    algebra, labeled, spaces = _truncations(family, n_max)
     labels = [lab for lab, _ideal in labeled]
     rows = [generator_rows(ideal, algebra) for _lab, ideal in labeled]
     owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
@@ -143,7 +138,7 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
     instance's and the instances cannot lower the meet.
     """
     algebra, labeled, spaces = _truncations(family, n_max)
-    edges = build_preorder(family, n_max, spaces)
+    edges = build_preorder(family, n_max)
     scale = {"N": family.N, "n_max": n_max, "D": D}
 
     # parametric limits, each verified at scale
@@ -154,8 +149,7 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
                 "undetermined", None, None, edges, None, scale,
                 detail=f"parametric member {label!r} has no limit candidate",
             )
-        instances = [spaces[f"{label}[n={n}]"] for n in range(1, n_max)]
-        res = limit_of_chain(fam, limit, n_max, family.N, D, instances)
+        res = limit_of_chain(fam, limit, n_max, family.N, D)
         if res.status != "verified-at-scale":
             return AlexandrovVerdict(
                 "undetermined", None, None, edges, None, scale,
@@ -168,7 +162,7 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
     meet = reduce(Subspace.intersect, [spaces[lab] for lab, _ideal in family.members]
                   + [truncate_ideal(limit, algebra) for limit in limits])
     gens = extract_generators(meet, algebra)
-    global_ideal = IdealSpec(family.ring, tuple(gens), name="Ann(family)")
+    global_ideal = IdealSpec(family.ring, tuple(gens))
 
     def attains(label, ideal) -> bool:
         return spaces[label] == meet and all(

@@ -82,7 +82,7 @@ def row_col_bound(mf: MatrixFactorization):
         for entry in list(mf.phi[k]) + [mf.psi[i][k] for i in range(mf.n)]:
             if not entry.is_zero and entry not in gens:
                 gens.append(entry)
-        out.append(IdealSpec(mf.spec, tuple(gens), name=f"J_{k + 1}"))
+        out.append(IdealSpec(mf.spec, tuple(gens)))
     return out
 
 
@@ -124,7 +124,6 @@ def _system(G, H, n, field):
     return E, rho.transpose(2, 1, 0, 3).reshape(n * c, n * h)
 
 
-@functools.lru_cache(maxsize=64)
 def _truncated_data(mf: MatrixFactorization, N: int):
     """R_N and constraint rows K (reduced echelon, with their pivots) such
     that phi*alpha + beta*psi = r*I is solvable in R_N exactly when K r = 0.
@@ -269,12 +268,9 @@ def witness_search(mf: MatrixFactorization, r: Polynomial, D: int):
 
 @dataclass
 class AnnihilatorResult:
-    label: str
-    N: int
     D: int
     lower: list  # (generator, Witness)
     upper_generators: list
-    upper_dim: int
     status: str  # certified-exact | bounded-gap | undetermined
     subspace: Subspace = dc_field(repr=False, default=None)
 
@@ -306,10 +302,9 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
                 lower.append((g, w))
                 witnessed_vectors.append(algebra.reduce(g))
         remaining = still
-    # The searchers and the truncated system serve this call only; keeping
-    # them afterwards would only hold memory.
+    # The searchers serve this call only; keeping them afterwards would only
+    # hold memory.
     _searcher.cache_clear()
-    _truncated_data.cache_clear()
 
     # The witnessed generators' ideal matters only once every generator has
     # a witness.
@@ -321,6 +316,4 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
     else:
         status = "undetermined"
     lower.sort(key=lambda gw: grlex_key(max(gw[0].terms, key=grlex_key)))
-    return AnnihilatorResult(
-        mf.label, N, D, lower, gens, upper.dim, status, subspace=upper
-    )
+    return AnnihilatorResult(D, lower, gens, status, subspace=upper)

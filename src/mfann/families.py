@@ -78,13 +78,7 @@ def build_family(
     parametric = []
     for lab, (fixed, tail, offset, limit) in parametric_defs.items():
         fam = ParametricIdealFamily(
-            spec,
-            tuple(spec.poly(g) for g in fixed),
-            spec.poly(tail),
-            offset,
-            name=lab,
-        )
-        limit_ideal = IdealSpec.from_strings(spec, limit, name=f"lim {lab}")
-        parametric.append((lab, fam, limit_ideal))
+            spec, tuple(spec.poly(g) for g in fixed), spec.poly(tail), offset)
+        parametric.append((lab, fam, IdealSpec.from_strings(spec, limit)))
 
     return AnnFamily(spec, tuple(members), tuple(parametric), N)

@@ -7,6 +7,7 @@ in the annihilator tables (x, y^n), (x^2, xy, y^(n+1)), (x, y^(n+1), z), ...
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ class IdealSpec:
 
     spec: RingSpec
     generators: tuple
-    name: str = ""
 
     def __post_init__(self):
         for g in self.generators:
@@ -46,8 +46,8 @@ class IdealSpec:
                 raise SpecError("generator not over the ideal's ring")
 
     @classmethod
-    def from_strings(cls, spec: RingSpec, gens, name=""):
-        return cls(spec, tuple(spec.poly(g) for g in gens), name)
+    def from_strings(cls, spec: RingSpec, gens):
+        return cls(spec, tuple(spec.poly(g) for g in gens))
 
     def format(self) -> str:
         if not self.generators:
@@ -63,14 +63,12 @@ class ParametricIdealFamily:
     fixed: tuple
     tail_base: Polynomial
     tail_offset: int = 0
-    name: str = ""
 
     def instantiate(self, n: int) -> IdealSpec:
         if n < 1:
             raise ValueError("parameter must be a positive integer")
         gens = tuple(self.fixed) + (self.tail_base ** (n + self.tail_offset),)
-        label = f"{self.name}[n={n}]" if self.name else f"[n={n}]"
-        return IdealSpec(self.spec, gens, label)
+        return IdealSpec(self.spec, gens)
 
 
 def _span_of_multiples(polys, algebra: TruncatedAlgebra) -> Subspace:
@@ -80,10 +78,22 @@ def _span_of_multiples(polys, algebra: TruncatedAlgebra) -> Subspace:
 
 
 def truncate_ideal(ideal: IdealSpec, algebra: TruncatedAlgebra) -> Subspace:
-    """Subspace of R_N spanned by {reduce(g * b) : g generator, b basis monomial}."""
+    """Subspace of R_N spanned by {reduce(g * b) : g generator, b basis monomial}.
+
+    Every layer asks for the truncations it needs; repeats come from a
+    bounded memo keyed by generator tuple and algebra, so callers share the
+    returned subspace, whose basis is read-only.
+    """
     if ideal.spec != algebra.spec:
         raise SpecError("ideal and algebra are over different rings")
-    return _span_of_multiples(ideal.generators, algebra)
+    return _truncation(ideal.generators, algebra)
+
+
+@functools.lru_cache(maxsize=32)
+def _truncation(generators: tuple, algebra: TruncatedAlgebra) -> Subspace:
+    space = _span_of_multiples(generators, algebra)
+    space.basis.flags.writeable = False
+    return space
 
 
 def generator_rows(ideal: IdealSpec, algebra: TruncatedAlgebra):
@@ -176,7 +186,6 @@ class MPrimaryResult:
     status: str  # m-primary | not-m-primary-evidence | undetermined
     colength: int | None = None
     colengths: tuple = ()
-    certified_level: int | None = None
 
 
 def is_m_primary(ideal: IdealSpec, N_max: int) -> MPrimaryResult:
@@ -196,18 +205,16 @@ def is_m_primary(ideal: IdealSpec, N_max: int) -> MPrimaryResult:
                    for m in monomials_upto(spec.nvars, N - 1) if sum(m) == N - 1]
             ok = space.contains(np.vstack([algebra.reduce(m) for m in top]))
             if ok:
-                return MPrimaryResult("m-primary", colengths[-1], tuple(colengths), N)
-            return MPrimaryResult("undetermined", None, tuple(colengths), None)
+                return MPrimaryResult("m-primary", colengths[-1], tuple(colengths))
+            return MPrimaryResult("undetermined", None, tuple(colengths))
     if all(b > a for a, b in zip(colengths, colengths[1:])):
-        return MPrimaryResult("not-m-primary-evidence", None, tuple(colengths), None)
-    return MPrimaryResult("undetermined", None, tuple(colengths), None)
+        return MPrimaryResult("not-m-primary-evidence", None, tuple(colengths))
+    return MPrimaryResult("undetermined", None, tuple(colengths))
 
 
 @dataclass(frozen=True)
 class LimitResult:
     status: str  # verified-at-scale | refuted
-    n_max: int
-    N: int
     failure: str = ""
 
 
@@ -217,7 +224,6 @@ def limit_of_chain(
     n_max: int,
     N: int,
     D: int = 4,
-    spaces=None,
 ) -> LimitResult:
     """Check that the candidate is the limit of the descending family.
 
@@ -228,8 +234,7 @@ def limit_of_chain(
     truncation.  (c) runs first: R_N -> R_{N_cmp} is a surjective ring map
     that carries an ideal's truncation at N onto its truncation at N_cmp,
     so the chain descends at N_cmp <= N too, and its intersection there is
-    the last instance.  `spaces`, the truncations at N of instances
-    1..n_max-1, saves computing them again.
+    the last instance.
     """
     algebra = build_truncation(family.spec, N)
     instances = [family.instantiate(n) for n in range(1, n_max + 1)]
@@ -238,21 +243,18 @@ def limit_of_chain(
             res = member(g, inst, N, D)
             if not res.is_member:
                 return LimitResult(
-                    "refuted", n_max, N,
-                    f"{candidate.format()} not certified inside {inst.format()}",
-                )
-    if spaces is None:
-        spaces = [truncate_ideal(inst, algebra) for inst in instances[:-1]]
+                    "refuted", f"{candidate.format()} not certified inside {inst.format()}")
     for k in range(n_max - 1):
-        if not spaces[k].contains(generator_rows(instances[k + 1], algebra)):
-            return LimitResult("refuted", n_max, N, f"family does not descend at n={k + 1}")
+        space = truncate_ideal(instances[k], algebra)
+        if not space.contains(generator_rows(instances[k + 1], algebra)):
+            return LimitResult("refuted", f"family does not descend at n={k + 1}")
     # The finite intersection is faithful to the infinite one only below the
     # degree of the last tail generator; compare there.
     tail_degree = family.tail_base.degree() * (n_max + family.tail_offset)
     N_cmp = min(N, tail_degree)
     if N_cmp < 1:
-        return LimitResult("refuted", n_max, N, "tail degenerates at this scale")
+        return LimitResult("refuted", "tail degenerates at this scale")
     cmp_algebra = build_truncation(family.spec, N_cmp)
     if truncate_ideal(instances[-1], cmp_algebra) != truncate_ideal(candidate, cmp_algebra):
-        return LimitResult("refuted", n_max, N, "truncated intersection differs from candidate")
-    return LimitResult("verified-at-scale", n_max, N)
+        return LimitResult("refuted", "truncated intersection differs from candidate")
+    return LimitResult("verified-at-scale")

@@ -216,8 +216,6 @@ def ring_spec(ring_id: str, field=None) -> RingSpec:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    family: str  # "A-inf" | "D-inf"
-    dim: int
     label: str
     n: int | None
     mf: MatrixFactorization
@@ -321,10 +319,8 @@ def catalog(ring_id: str, label: str, n: int | None = None, field=None) -> Catal
                       for row in text.format(**values).split(";"))
                 for text in (phi, psi)]
     mf = MatrixFactorization(spec, len(mats[0]), *mats, mf_label)
-    expected = IdealSpec.from_strings(spec, [g.format(**values) for g in ann],
-                                      name=f"Ann({label})")
-    family = "A-inf" if ring_id.startswith("a") else "D-inf"
-    return CatalogEntry(family, int(ring_id[-1]), label, n, mf, expected, locally_free)
+    expected = IdealSpec.from_strings(spec, [g.format(**values) for g in ann])
+    return CatalogEntry(label, n, mf, expected, locally_free)
 
 
 def parse_selector(selector: str, field=None, default_n=None):

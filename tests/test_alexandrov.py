@@ -1,5 +1,6 @@
 """Specialization preorder and compactness verdicts."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ from mfann.alexandrov import (
     build_preorder,
     compactness_verdict,
 )
+from mfann import ideals as ideals_module
 from mfann.families import EXPECTED_VERDICTS, build_family
 from mfann.fields import PrimeField, Rationals
 from mfann.ideals import (
@@ -18,6 +20,7 @@ from mfann.ideals import (
     member,
     truncate_ideal,
 )
+from mfann.linalg import Subspace
 from mfann.mf import RING_IDS, ring_spec
 from mfann.poly import Polynomial, monomials_below
 from mfann.truncation import SpecError, build_truncation
@@ -162,6 +165,28 @@ def test_preorder_on_random_ideals_matches_pairwise(random_ideals, N):
     assert {(lab, "1") for lab, _ in members} <= set(edges)
 
 
+@settings(max_examples=40, deadline=None)
+@given(ideals(), st.integers(3, 6), st.data())
+def test_truncate_ideal_memo_matches_direct_span(ideal, N, data):
+    """The memoized truncation is the span of the generators' multiples,
+    built here, on the first and on a repeated call, at R_N and R_{N+1}, in
+    any generator order; a ring mismatch is caught on every call."""
+    ideals_module._truncation.cache_clear()
+    permuted = IdealSpec(XX, tuple(data.draw(st.permutations(ideal.generators))))
+    for level in (N, N + 1):
+        algebra = build_truncation(XX, level)
+        rows = [algebra.multiplication_operator(g).T for g in ideal.generators]
+        direct = Subspace.from_vectors(F13, algebra.dim, np.vstack(rows) if rows else [])
+        first = truncate_ideal(ideal, algebra)
+        assert first == direct and first.ambient == algebra.dim == 2 * level - 1
+        assert truncate_ideal(ideal, algebra) is first and not first.basis.flags.writeable
+        assert truncate_ideal(permuted, algebra) == direct
+    other = build_truncation(ring_spec("d-inf-1", F13), N)
+    for _ in range(2):
+        with pytest.raises(SpecError):
+            truncate_ideal(ideal, other)
+
+
 def reference_verdict(family, n_max, D=4):
     """The verdict by the definition: the meet folds every expanded member's
     and every limit's own truncation, each limit taken as verified."""
@@ -197,11 +222,7 @@ def test_verdict_matches_full_intersection(ring_id, subfamily, field, N, n_max):
 
 
 @pytest.mark.parametrize("ring_id, subfamily, field, N, n_max", FAMILY_CASES)
-def test_limit_of_chain_same_with_given_spaces(ring_id, subfamily, field, N, n_max):
+def test_limit_of_chain_verifies_family_chains(ring_id, subfamily, field, N, n_max):
     fam = build_family(ring_id, field, N, subfamily=subfamily)
-    algebra = build_truncation(fam.ring, N)
     for _lab, pfam, limit in fam.parametric:
-        spaces = [truncate_ideal(pfam.instantiate(n), algebra) for n in range(1, n_max)]
-        res = limit_of_chain(pfam, limit, n_max, N)
-        assert res.status == "verified-at-scale"
-        assert limit_of_chain(pfam, limit, n_max, N, spaces=spaces) == res
+        assert limit_of_chain(pfam, limit, n_max, N).status == "verified-at-scale"
