@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpecError, field_from_config, field_to_config, json_check, json_item
-from .linalg import as_array, dot, echelon, mod, neg, zeros
+from .linalg import as_array, echelon, mod, neg, zeros
 from .poly import Polynomial, grlex_keys, monomials_below, parse_poly
 
 
@@ -75,7 +75,11 @@ class TruncatedAlgebra:
     graded-lex order: its coordinate vector over the standard basis (a unit
     row for a standard monomial).  Rows are located by graded-lex keys in
     base 2N, unique for products of two monomials of degree < N, so
-    multiplying by a monomial is an index shift into the table.
+    multiplying by a monomial is an index shift into the table.  Multiplying
+    by a polynomial gathers the nonzero entries of the shifted rows, through
+    the table's support mask, scales those whose coefficient is not 1 and
+    scatter-adds them into the result: no arithmetic on a zero entry, and
+    no multiplication for a coefficient 1.
     """
 
     def __init__(self, spec: RingSpec, N: int):
@@ -106,6 +110,7 @@ class TruncatedAlgebra:
         self.table = zeros((n + 1, d), field)
         self.table[standard, np.arange(d)] = field.one
         self.table[pivot_rows] = neg(reduced[:, n - 1 - standard], field)
+        self._support = self.table.astype(bool)
 
     @property
     def dim(self):
@@ -129,10 +134,7 @@ class TruncatedAlgebra:
 
     def reduce(self, p: Polynomial):
         """Coordinate vector of p in R_N (exact), as an array."""
-        exps, coeffs = self._terms(p)
-        if not len(coeffs):
-            return zeros(self.dim, self.field)
-        return dot(coeffs, self.table[self._locate(exps)], self.field)
+        return self._shifted_sum(p, np.zeros((1, self.spec.nvars), dtype=np.int64))[0]
 
     def lift(self, coords) -> Polynomial:
         """The standard-monomial representative with the given coordinates."""
@@ -150,15 +152,24 @@ class TruncatedAlgebra:
         Its transpose lists the multiples p * basis[j] as rows, which is how
         ideals are spanned.
         """
-        field, d = self.field, self.dim
+        return self._shifted_sum(p, self._basis_exps).T
+
+    def _shifted_sum(self, p: Polynomial, shifts):
+        """Rows j = reduce(p * x^shifts[j]): the sum over the terms c x^e of p
+        of c * table[row of e + shifts[j]], formed from the nonzero table
+        entries alone and scatter-added (duplicate positions add up)."""
+        field = self.field
         exps, coeffs = self._terms(p)
-        rows = self._locate(exps[:, None, :] + self._basis_exps)  # term x basis
-        out = zeros((d, d), field)
-        step = max(1, (1 << 20) // (d * d))  # bounds the gathered block
-        for s in range(0, len(coeffs), step):
-            block = self.table[rows[s:s + step]].reshape(-1, d * d)
-            out = out + dot(coeffs[s:s + step], block, field).reshape(d, d)
-        return mod(out, field).T
+        rows = self._locate(exps[:, None, :] + shifts)  # term x shift
+        # flat positions: np.nonzero of the 3-d mask is an order slower
+        mask = self._support[rows]
+        t, j, i = np.unravel_index(np.flatnonzero(mask), mask.shape)
+        vals = self.table[rows[t, j], i]
+        scale = (coeffs != field.one)[t]
+        vals[scale] = mod(vals[scale] * coeffs[t[scale]], field)
+        out = zeros((len(shifts), self.dim), field)
+        np.add.at(out, (j, i), vals)
+        return mod(out, field)
 
     def project_from(self, other: "TruncatedAlgebra", coords):
         """Image in self of an element of a finer truncation of the same ring."""

@@ -136,6 +136,8 @@ def test_text_format_sorted_generators(capsys):
      "889b5acbaa2a721033dbb51835ad4d61a2faf5fa7a998742b102be4ffa8157cb"),
     (("double", "a-inf-1/phi?n=1", "-N", "6"),
      "2f511bdb9f731ffd023529bf8b8607d585be0099e9a0c95fec5ca73c38edafa8"),
+    (("ann", "d-inf-2/delta+?n=1", "-N", "7", "--field", "q"),
+     "81bd5b8e96e71e47eac897fc0c450a78ac6a3dd679c7f42881314ef20cc04cfb"),
 ])
 def test_subcommand_reports_are_pinned(capsys, argv, sha256):
     code, out, _ = run(capsys, *argv)

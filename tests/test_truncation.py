@@ -8,13 +8,16 @@ elimination over Q, not by the package's own row reduction.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
 from mfann.poly import Polynomial, grlex_key, monomials_below, parse_poly
 from mfann.truncation import RingSpec, SpecError, build_truncation
 
 F13 = PrimeField(13, 5)
+FIELDS = {"F13": F13, "F_2^31-1": PrimeField(2**31 - 1), "Q": Rationals()}
 
 
 def ring(variables, f_text, field=F13):
@@ -145,3 +148,87 @@ def test_rational_field_truncation():
     spec = ring(("x", "y"), "x^2", Rationals())
     algebra = build_truncation(spec, 6)
     assert algebra.dim == 11
+
+
+def exact(A, field):
+    """A as an object array of Python ints or Fractions, so that products
+    below are exact and independent of the package's linear algebra."""
+    A = np.array(np.asarray(A).tolist(), dtype=object)
+    return A % field.p if field.is_prime else A
+
+
+def same(A, B, field):
+    return np.array_equal(exact(A, field), exact(B, field))
+
+
+# (variables, f, largest N drawn); in both rings the leading term of f reduces
+# to minus the other term, so the terms of a product often add on one entry
+OPERAND_RINGS = [(("x", "y"), "x^2+y^2", 8), (("x", "y", "z"), "x^2*y+z^2", 5)]
+
+
+@st.composite
+def operands(draw, field):
+    """An algebra R_N, a scalar other than 0 and +-1, and two polynomials
+    with 0 to dim(R_N) terms each, some of degree >= N, with coefficients
+    that are mostly not +-1."""
+    variables, f_text, n_max = draw(st.sampled_from(OPERAND_RINGS))
+    N = draw(st.integers(1, n_max))
+    algebra = build_truncation(ring(variables, f_text, field), N)
+    monos = monomials_below(len(variables), N + 2)
+    if field.is_prime:
+        coeff = st.integers(-(2**40), 2**40)
+    else:
+        coeff = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+    coeff = coeff.map(field.coerce)
+
+    def poly():
+        ms = draw(st.lists(st.sampled_from(monos), max_size=algebra.dim, unique=True))
+        return Polynomial(field, len(variables), {m: draw(coeff) for m in ms})
+
+    units = (field.zero, field.one, field.neg(field.one))
+    return algebra, draw(coeff.filter(lambda c: c not in units)), poly(), poly()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_multiplication_operator_is_a_ring_map(name, data):
+    field = FIELDS[name]
+    algebra, c, p, q = data.draw(operands(field))
+    d, nvars = algebra.dim, algebra.spec.nvars
+    Mp = exact(algebra.multiplication_operator(p), field)
+    Mq = exact(algebra.multiplication_operator(q), field)
+    assert Mp.shape == (d, d)
+    assert same(algebra.multiplication_operator(Polynomial.one(field, nvars)),
+                np.eye(d, dtype=np.int64), field)
+    assert same(algebra.multiplication_operator(Polynomial.zero(field, nvars)),
+                np.zeros((d, d), dtype=np.int64), field)
+    cp = Polynomial.constant(field, nvars, c) * p
+    assert same(algebra.multiplication_operator(cp), c * Mp, field)
+    assert same(algebra.multiplication_operator(p + q), Mp + Mq, field)
+    assert same(algebra.multiplication_operator(p * q), Mp @ Mq, field)
+    assert same(Mp @ exact(algebra.reduce(q), field), algebra.reduce(p * q), field)
+    assert same(Mp[:, 0], algebra.reduce(p), field)  # basis[0] is the monomial 1
+    # f p is zero in R_N, though each term of f times a term of p is not
+    fp = algebra.spec.f * p
+    assert same(algebra.multiplication_operator(fp), np.zeros((d, d), dtype=np.int64), field)
+    assert same(algebra.reduce(fp), np.zeros(d, dtype=np.int64), field)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_results_never_alias_the_table(name):
+    field = FIELDS[name]
+    spec = ring(("x", "y", "z"), "x^2*y+z^2", field)
+    algebra = build_truncation(spec, 5)
+    table = algebra.table.copy()
+    p = spec.poly("x + y^2 + 1")
+    M, v = algebra.multiplication_operator(p), algebra.reduce(p)
+    expected_M, expected_v = M.copy(), v.copy()
+    for x in (spec.poly("1"), spec.poly("y"), p):
+        algebra.multiplication_operator(x)[:] = field.coerce(7)
+        algebra.reduce(x)[:] = field.coerce(7)
+    M[:] = field.coerce(7)
+    v[:] = field.coerce(7)
+    assert np.array_equal(algebra.table, table)
+    assert np.array_equal(algebra.multiplication_operator(p), expected_M)
+    assert np.array_equal(algebra.reduce(p), expected_v)
