@@ -8,9 +8,15 @@ single nonzero entry, which need no arithmetic at all, and reduces mod p
 after every pivot step on the rest.  This is the only elimination path:
 `echelon` returns the reduced form and its pivots and nothing else, and the
 coordinates of a vector in the span of given rows come from `solve` on
-their transpose, whose particular solution is canonical.  Over the
-rationals a matrix is an object array of `Fraction`s, and the same code
-runs on it.  Nothing here uses floating point.
+their transpose, whose particular solution is canonical.
+
+Over the rationals a matrix is an object array whose nonzero entries are
+`Fraction`s and whose zeros are the Python int 0, an exact rational that
+numpy tests, adds and negates at C speed, so a zero entry costs what an
+integer costs.  Elimination over the rationals is fraction-free: each row
+is scaled to integers, the pivot loop runs on integer rows, and only the
+final division by the pivots builds `Fraction`s, at the nonzero entries.
+Nothing here uses floating point.
 
 `rref`, `kernel`, `solve_affine` and `mat_mul` take and return lists of rows;
 the package itself works on arrays through `echelon`, `null_space`, `solve`
@@ -20,6 +26,7 @@ and `dot`, and `Subspace` holds its basis as an array.
 from __future__ import annotations
 
 import bisect
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,9 +39,11 @@ _INT64_MAX = 2**63 - 1
 
 
 def zeros(shape, field):
+    """The zero array: int64 over F_p; over the rationals an object array of
+    the Python int 0, which numpy handles without any `Fraction` work."""
     if field.is_prime:
         return np.zeros(shape, dtype=np.int64)
-    return np.full(shape, field.zero, dtype=object)
+    return np.zeros(shape, dtype=object)
 
 
 def eye(field, n):
@@ -111,16 +120,20 @@ def echelon(M, field):
 
     The rows with a single nonzero entry go first: such a row, in column c,
     gives the pivot row e_c, and zeroing column c in the other rows may leave
-    new ones.  Only the rows left after that run the pivot loop.
+    new ones.  Only the rows left after that run the pivot loop; over the
+    rationals they run it as integer rows, divided by their pivots at the end.
     """
     ncols = M.shape[1]
     units, rest = _clear_unit_rows(M, field)
+    if not field.is_prime:
+        rest = _integer_rows(rest)
     r, loop_pivots = _pivot_loop(rest, ncols, field)
     loop_pivots = np.array(loop_pivots, dtype=np.intp)
+    loop_rows = rest[:r] if field.is_prime else _divide_by_pivots(rest[:r], loop_pivots)
     pivots = np.sort(np.concatenate([units, loop_pivots]))
     R = zeros((pivots.size, ncols), field)
     R[np.searchsorted(pivots, units), units] = field.one
-    R[np.searchsorted(pivots, loop_pivots)] = rest[:r]
+    R[np.searchsorted(pivots, loop_pivots)] = loop_rows
     return R, pivots.tolist()
 
 
@@ -144,14 +157,44 @@ def _clear_unit_rows(M, field):
         counts -= nz[:, cols].sum(axis=1)
         cleared[cols] = True
     rest = M[counts > 0]
-    rest[:, cleared] = field.zero
+    rest[:, cleared] = 0
     return np.flatnonzero(cleared), rest
+
+
+def _integer_rows(M):
+    """The rational rows of M, in place, as primitive integer rows: each row
+    times the lcm of its denominators over the gcd of the numerators that
+    gives.  Only the nonzero entries are read or written."""
+    i, j = M.nonzero()
+    if not i.size:
+        return M
+    vals = M[i, j]
+    num = np.array([v.numerator for v in vals], dtype=object)
+    den = np.array([v.denominator for v in vals], dtype=object)
+    starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])  # i ascends
+    lengths = np.diff(np.r_[starts, i.size])
+    num *= np.repeat(np.lcm.reduceat(den, starts), lengths) // den
+    M[i, j] = num // np.repeat(np.gcd.reduceat(num, starts), lengths)
+    return M
+
+
+def _divide_by_pivots(M, pivots):
+    """The integer rows of M, in place, each divided by its entry in its
+    pivot column: `Fraction`s at the nonzero entries, 0 elsewhere."""
+    i, j = M.nonzero()
+    M[i, j] = list(map(Fraction, M[i, j], M[i, pivots[i]]))
+    return M
 
 
 def _pivot_loop(M, ncols, field):
     """Reduce the first ncols columns of M in place, one pivot at a time.
 
-    Returns (r, pivots): rows r and below are zero there afterwards.
+    Returns (r, pivots): rows r and below are zero there afterwards.  Over
+    F_p each pivot row is scaled to a leading 1.  Over the rationals M holds
+    integers and stays integral: every other row i with a_i in the pivot
+    column becomes piv * row_i - a_i * row_r, over the whole row, since its
+    earlier non-pivot columns scale too, and is then divided by the gcd of
+    its entries; the pivot rows keep their pivot entries.
     """
     p = field.p if field.is_prime else 0
     nrows = M.shape[0]
@@ -166,19 +209,20 @@ def _pivot_loop(M, ncols, field):
         i = r + nz[0]
         if i != r:
             M[[r, i]] = M[[i, r]]
-        # Entries left of column c are zero in rows r and below.
-        row = M[r, c:] * field.inv(int(M[r, c]) if p else M[r, c])
-        others = M[:, c].nonzero()[0]  # the pivot row too; it is rewritten below
+        others = M[:, c].nonzero()[0]  # the pivot row too
         if p:
-            row %= p
+            # Entries left of column c are zero in rows r and below.
+            row = (M[r, c:] * field.inv(int(M[r, c]))) % p
             if others.size > 1:
                 M[others, c:] = (M[others, c:] - M[others, c, None] * row) % p
+            M[r, c:] = row
         elif others.size > 1:
-            # Fractions: touch only the pivot row's nonzero columns
-            cols = row.nonzero()[0]
-            block = np.ix_(others, c + cols)
-            M[block] = M[block] - np.outer(M[others, c], row[cols])
-        M[r, c:] = row
+            others = others[others != r]
+            cols = M[r].nonzero()[0]
+            rows = M[others] * M[r, c]
+            rows[:, cols] -= np.outer(M[others, c], M[r, cols])
+            # divide each row by its content (a zero row by 1)
+            M[others] = rows // np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
         pivots.append(c)
         r += 1
     return r, pivots

@@ -74,8 +74,9 @@ class TruncatedAlgebra:
     Every monomial of degree < N owns one row of a dense reduction table, in
     graded-lex order: its coordinate vector over the standard basis (a unit
     row for a standard monomial).  Rows are located by graded-lex keys in
-    base 2N, unique for products of two monomials of degree < N, so
-    multiplying by a monomial is an index shift into the table.  Multiplying
+    base 2N, unique for products of two monomials of degree < N.  Keys and
+    degrees are linear in the exponents, so the product of two monomials is
+    located from the sums of theirs, without forming its exponents.  Multiplying
     by a polynomial gathers the nonzero entries of the shifted rows, through
     the table's support mask, scales those whose coefficient is not 1 and
     scatter-adds them into the result: no arithmetic on a zero entry, and
@@ -92,20 +93,23 @@ class TruncatedAlgebra:
         n = len(monos)
         exps = np.array(monos, dtype=np.int64).reshape(n, spec.nvars)
         self._keys = grlex_keys(exps, 2 * N)  # ascending; row n is the zero row
+        degs = exps.sum(axis=1)
 
-        # Terms of f of degree >= N only ever land on the zero row.
-        f_exps, f_coeffs = self._terms(spec.f)
-        us = np.array(monomials_below(spec.nvars, max(N - spec.f.min_degree(), 0)),
-                      dtype=np.int64).reshape(-1, spec.nvars)
-        rel = zeros((len(us), n + 1), field)
-        rel[np.arange(len(us))[:, None], self._locate(us[:, None, :] + f_exps)] = f_coeffs
+        # Terms of f of degree >= N only ever land on the zero row.  The
+        # multipliers of f, of degree < N - min deg f, are the first u
+        # monomials.
+        f_keys, f_degs, f_coeffs = self._terms(spec.f)
+        u = np.searchsorted(degs, N - spec.f.min_degree())
+        rel = zeros((u, n + 1), field)
+        rel[np.arange(u)[:, None],
+            self._locate(self._keys[:u, None] + f_keys, degs[:u, None] + f_degs)] = f_coeffs
         # Columns descending, so row reduction pivots on the largest monomial
         # of each relation and keeps the small monomials standard.
         reduced, pivots = echelon(rel[:, n - 1::-1], field)
         pivot_rows = n - 1 - np.array(pivots, dtype=np.int64)
         standard = np.setdiff1d(np.arange(n), pivot_rows)
         self.basis = [monos[i] for i in standard]
-        self._basis_exps = exps[standard]
+        self._basis_keys, self._basis_degs = self._keys[standard], degs[standard]
         d = len(standard)
         self.table = zeros((n + 1, d), field)
         self.table[standard, np.arange(d)] = field.one
@@ -120,21 +124,23 @@ class TruncatedAlgebra:
     def field(self):
         return self.spec.field
 
-    def _locate(self, exps):
-        """Table rows of the monomials with these exponent rows (any leading
-        shape); monomials of degree >= N land on the zero row."""
-        rows = np.searchsorted(self._keys, grlex_keys(exps, 2 * self.N))
-        return np.where(exps.sum(axis=-1) < self.N, rows, len(self._keys))
+    def _locate(self, keys, degs):
+        """Table rows of the monomials with these graded-lex keys and degrees
+        (arrays of one shape); monomials of degree >= N land on the zero row."""
+        rows = np.searchsorted(self._keys, keys)
+        return np.where(degs < self.N, rows, len(self._keys))
 
     def _terms(self, p: Polynomial):
-        """Exponent rows and coefficients of the terms of p of degree < N."""
+        """Keys, degrees and coefficients of the terms of p of degree < N."""
         terms = [(m, c) for m, c in p.terms.items() if sum(m) < self.N]
         exps = np.array([m for m, _ in terms], dtype=np.int64).reshape(-1, self.spec.nvars)
-        return exps, as_array([c for _, c in terms], self.field)
+        return (grlex_keys(exps, 2 * self.N), exps.sum(axis=1),
+                as_array([c for _, c in terms], self.field))
 
     def reduce(self, p: Polynomial):
         """Coordinate vector of p in R_N (exact), as an array."""
-        return self._shifted_sum(p, np.zeros((1, self.spec.nvars), dtype=np.int64))[0]
+        none = np.zeros(1, dtype=np.int64)  # the key and degree of the monomial 1
+        return self._shifted_sum(p, none, none)[0]
 
     def lift(self, coords) -> Polynomial:
         """The standard-monomial representative with the given coordinates."""
@@ -152,22 +158,23 @@ class TruncatedAlgebra:
         Its transpose lists the multiples p * basis[j] as rows, which is how
         ideals are spanned.
         """
-        return self._shifted_sum(p, self._basis_exps).T
+        return self._shifted_sum(p, self._basis_keys, self._basis_degs).T
 
-    def _shifted_sum(self, p: Polynomial, shifts):
-        """Rows j = reduce(p * x^shifts[j]): the sum over the terms c x^e of p
-        of c * table[row of e + shifts[j]], formed from the nonzero table
-        entries alone and scatter-added (duplicate positions add up)."""
+    def _shifted_sum(self, p: Polynomial, shift_keys, shift_degs):
+        """Rows j = reduce(p * x^s_j) for the monomials s_j of the given keys
+        and degrees: the sum over the terms c x^e of p of c * table[row of
+        e + s_j], formed from the nonzero table entries alone and
+        scatter-added (duplicate positions add up)."""
         field = self.field
-        exps, coeffs = self._terms(p)
-        rows = self._locate(exps[:, None, :] + shifts)  # term x shift
+        keys, degs, coeffs = self._terms(p)
+        rows = self._locate(keys[:, None] + shift_keys, degs[:, None] + shift_degs)  # term x shift
         # flat positions: np.nonzero of the 3-d mask is an order slower
         mask = self._support[rows]
         t, j, i = np.unravel_index(np.flatnonzero(mask), mask.shape)
         vals = self.table[rows[t, j], i]
         scale = (coeffs != field.one)[t]
         vals[scale] = mod(vals[scale] * coeffs[t[scale]], field)
-        out = zeros((len(shifts), self.dim), field)
+        out = zeros((len(shift_keys), self.dim), field)
         np.add.at(out, (j, i), vals)
         return mod(out, field)
 

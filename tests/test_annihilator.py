@@ -84,6 +84,48 @@ def test_truncated_annihilator_matches_dense_oracle(ring_id, label, n, N):
     assert annihilator_truncated(mf, N) == dense_annihilator_oracle(mf, N)
 
 
+def derivative(p, i):
+    """The partial derivative of p in variable i, from its terms."""
+    field = p.field
+    terms = {}
+    for m, c in p.terms.items():
+        if m[i]:
+            terms[m[:i] + (m[i] - 1,) + m[i + 1:]] = field.mul(field.coerce(m[i]), c)
+    return Polynomial(field, p.nvars, terms)
+
+
+def derivative_matrix(mat, i):
+    return tuple(tuple(derivative(e, i) for e in row) for row in mat)
+
+
+# a-inf-2 needs a square root of -1, which Q lacks
+JACOBIAN_CASES = [(field, ring_id) for field in (F13, QQ)
+                  for ring_id in ("a-inf-1", "a-inf-2", "d-inf-1", "d-inf-2")
+                  if field.is_prime or ring_id != "a-inf-2"]
+
+
+@pytest.mark.parametrize("field,ring_id", JACOBIAN_CASES,
+                         ids=[f"{'F13' if f.is_prime else 'Q'}-{r}" for f, r in JACOBIAN_CASES])
+def test_jacobian_ideal_annihilates(field, ring_id):
+    # phi psi = f I gives d_i(phi) psi + phi d_i(psi) = d_i(f) I: a witness
+    # (alpha, beta, gamma) = (d_i psi, d_i phi, 0) for d_i f, checked by
+    # polynomial arithmetic alone, so d_i f must lie in the truncated
+    # annihilator that elimination computes.
+    for label, parametric in catalog_labels(ring_id):
+        for n in ((1, 2) if parametric else (None,)):
+            mf = catalog(ring_id, label, n, field).mf
+            algebra = build_truncation(mf.spec, 6)
+            ann = annihilator_truncated(mf, 6)
+            zero = Polynomial.zero(field, mf.spec.nvars)
+            gamma = tuple((zero,) * mf.n for _ in range(mf.n))
+            for i in range(mf.spec.nvars):
+                df = derivative(mf.spec.f, i)
+                witness = Witness(df, derivative_matrix(mf.psi, i),
+                                  derivative_matrix(mf.phi, i), gamma)
+                assert witness.verify(mf), (mf.label, i)
+                assert ann.contains(algebra.reduce(df)), (mf.label, i)
+
+
 def test_row_col_bound_contains_annihilator():
     entry = catalog("d-inf-1", "delta", 2, F13)
     N = 8

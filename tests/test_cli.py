@@ -138,6 +138,9 @@ def test_text_format_sorted_generators(capsys):
      "2f511bdb9f731ffd023529bf8b8607d585be0099e9a0c95fec5ca73c38edafa8"),
     (("ann", "d-inf-2/delta+?n=1", "-N", "7", "--field", "q"),
      "81bd5b8e96e71e47eac897fc0c450a78ac6a3dd679c7f42881314ef20cc04cfb"),
+    # the largest report over Q that a user runs
+    (("ann", "d-inf-2/delta+?n=5", "-N", "10", "-D", "7", "--field", "q"),
+     "d925abe970f14579e78c7125f779f8e98d24aaa3849511c0a472b677be45ad3f"),
 ])
 def test_subcommand_reports_are_pinned(capsys, argv, sha256):
     code, out, _ = run(capsys, *argv)

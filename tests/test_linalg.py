@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
-from mfann.linalg import (Subspace, _dot_sparse, _pivot_loop, as_array, dot, echelon, kernel,
-                          mat_mul, rref, solve, solve_affine)
+from mfann.linalg import (Subspace, _dot_sparse, as_array, dot, echelon, kernel, mat_mul,
+                          null_space, rref, solve, solve_affine)
 
 F13 = PrimeField(13, 5)
 F_BIG = PrimeField(2**31 - 1)
@@ -131,7 +131,10 @@ over_three_fields = pytest.mark.parametrize("field", [F13, F_BIG, QQ], ids=["F13
 def nonzero_elements(field):
     if field.is_prime:
         return st.integers(1, field.p - 1)
-    return st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 7))
+    # numerators past 2^63, which no int64 holds
+    numerators = (st.integers(1, 9) | st.integers(-9, -1)
+                  | st.integers(2**63, 2**70) | st.integers(-2**70, -2**63))
+    return st.builds(Fraction, numerators, st.integers(1, 7))
 
 
 @st.composite
@@ -156,30 +159,106 @@ def sparse_matrices(draw, field, max_rows=10, max_cols=10):
     return M[draw(st.permutations(range(len(M))))] if len(M) else M
 
 
-def assert_unit_pass_matches_loop(M, field):
+def reference_rref(rows, field):
+    """Plain Gauss-Jordan on lists of field elements (Fractions over the
+    rationals), with field arithmetic alone: (reduced rows, pivots)."""
+    el = Fraction if not field.is_prime else int
+    rows = [[el(v) for v in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    r, pivots = 0, []
+    for c in range(ncols):
+        i = next((i for i in range(r, len(rows)) if rows[i][c] != field.zero), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(v, inv) for v in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c] != field.zero:
+                a = rows[k][c]
+                rows[k] = [field.sub(v, field.mul(a, w)) for v, w in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def reference_solve(A, B, field):
+    """(particular, null space rows) of A X = B for 2-D arrays A and B, on
+    lists, as `solve` defines them (free variables zero), or None if some
+    column is inconsistent."""
+    (_, n), m = A.shape, B.shape[1]
+    R, pivots = reference_rref([a + b for a, b in zip(A.tolist(), B.tolist())], field)
+    if pivots and pivots[-1] >= n:
+        return None
+    particular = [[field.zero] * m for _ in range(n)]
+    for row, c in zip(R, pivots):
+        particular[c] = row[n:]
+    null = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [field.zero] * n
+        v[f] = field.one
+        for row, c in zip(R, pivots):
+            v[c] = field.neg(row[f])
+        null.append(v)
+    return particular, null
+
+
+def assert_python_entries(*arrays):
+    """Object arrays hold Python numbers: no numpy integer leaks into them."""
+    for A in arrays:
+        if A.dtype == object:
+            assert not any(isinstance(v, np.integer) for v in A.flat)
+
+
+def assert_unit_pass_matches_reference(M, field):
     before = M.copy()
     R, pivots = echelon(M, field)
-    M_loop = M.copy()
-    r, pivots_loop = _pivot_loop(M_loop, M.shape[1], field)  # the pivot loop alone
-    R_loop = M_loop[:r]
+    R_ref, pivots_ref = reference_rref(M.tolist(), field)
     assert np.array_equal(M, before)
-    assert pivots == pivots_loop and all(type(c) is int for c in pivots)
-    assert R.shape == R_loop.shape == (len(pivots), M.shape[1])
-    assert np.array_equal(R, R_loop)
+    assert pivots == pivots_ref and all(type(c) is int for c in pivots)
+    assert R.shape == (len(pivots), M.shape[1])
+    assert R.tolist() == R_ref
     assert is_rref(R.tolist(), field)
+    assert_python_entries(R)
 
 
 @over_three_fields
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_unit_rows_first_matches_the_pivot_loop(field, data):
-    assert_unit_pass_matches_loop(data.draw(sparse_matrices(field)), field)
+def test_unit_rows_first_matches_the_list_reference(field, data):
+    assert_unit_pass_matches_reference(data.draw(sparse_matrices(field)), field)
 
 
 @over_three_fields
 @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
 def test_echelon_of_empty_shapes(field, shape):
-    assert_unit_pass_matches_loop(as_array([], field, shape[1]).reshape(shape), field)
+    assert_unit_pass_matches_reference(as_array([], field, shape[1]).reshape(shape), field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rational_elimination_matches_the_list_reference(data):
+    # echelon, solve with a matrix right-hand side and null_space over Q,
+    # each exactly equal to Gauss-Jordan on lists of Fractions
+    A = data.draw(sparse_matrices(QQ, max_cols=8))
+    X = data.draw(sparse_matrices(QQ, max_rows=8)).T
+    k = min(A.shape[1], X.shape[0])
+    A, X = A[:, :k], X[:k]
+    R, pivots = echelon(A, QQ)
+    null = null_space(R, pivots, k, QQ)
+    assert (R.tolist(), pivots) == reference_rref(A.tolist(), QQ)
+    B = dot(A, X, QQ)
+    if len(B) and data.draw(st.booleans()):
+        B[data.draw(st.integers(0, len(B) - 1))] += 1  # may leave the column space
+    sol = solve(A, B, QQ)
+    expected = reference_solve(A, B, QQ)
+    if expected is None:
+        assert sol is None
+    else:
+        assert [part.tolist() for part in sol] == list(expected)
+        assert null.tolist() == expected[1]
+        assert_python_entries(*sol)
+    assert_python_entries(R, null, B)
 
 
 def test_unit_rows_chain():
