@@ -177,12 +177,13 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
                 m_primary=mp.status, space=meet,
             )
 
-    # strictly descending parametric chain with unattained intersection
+    # strictly descending parametric chain with unattained intersection; a
+    # single instance descends nowhere, so it is no evidence
     below = set(edges)
     for label, fam, _limit in family.parametric:
         chain = [f"{label}[n={n}]" for n in range(1, n_max + 1)]
-        strict = all((b, a) in below and spaces[b].dim < spaces[a].dim
-                     for a, b in zip(chain, chain[1:]))
+        strict = len(chain) >= 2 and all((b, a) in below and spaces[b].dim < spaces[a].dim
+                                         for a, b in zip(chain, chain[1:]))
         if strict:
             mp = is_m_primary(global_ideal, max(family.N, 8))
             return AlexandrovVerdict(

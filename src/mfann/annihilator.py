@@ -19,7 +19,6 @@ instead of one giant dense system.
 
 from __future__ import annotations
 
-import bisect
 import functools
 from dataclasses import dataclass, field as dc_field
 
@@ -27,7 +26,8 @@ import numpy as np
 
 from .fields import InvariantError
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
-from .linalg import Subspace, _dot_sparse, dot, echelon, mod, neg, null_space, solve
+from .linalg import (Subspace, _dot_sparse, dot, echelon, eliminate, mod, neg, null_space, solve,
+                     zeros)
 from .mf import MatrixFactorization, poly_mat_mul
 from .poly import CoefficientSpace, Polynomial, grlex_key, monomials_upto
 from .truncation import build_truncation
@@ -103,7 +103,7 @@ def _blocks(mat, multiples):
 
 
 def _system(G, H, n, field):
-    """(E, S) such that phi*alpha + beta*psi = r*I is solvable exactly when
+    """(S, E) such that phi*alpha + beta*psi = r*I is solvable exactly when
     S y = E r is.
 
     The rows of G span the columns that phi*alpha can take, and the rows of
@@ -121,16 +121,12 @@ def _system(G, H, n, field):
     H = H.reshape(h, n, d).transpose(1, 0, 2).reshape(n * h, d)  # row (j, t)
     # E and H are nearly all zeros, so their product skips them.
     rho = _dot_sparse(E, H.T, field).reshape(n, c, n, h)  # [i, k, j, t]
-    return E, rho.transpose(2, 1, 0, 3).reshape(n * c, n * h)
+    return rho.transpose(2, 1, 0, 3).reshape(n * c, n * h), E
 
 
 def _truncated_data(mf: MatrixFactorization, N: int):
     """R_N and constraint rows K (reduced echelon, with their pivots) such
-    that phi*alpha + beta*psi = r*I is solvable in R_N exactly when K r = 0.
-
-    Eliminating y from S y = E r first leaves the rows that constrain r
-    alone; the sign of the y columns does not change them.
-    """
+    that phi*alpha + beta*psi = r*I is solvable in R_N exactly when K r = 0."""
     algebra = build_truncation(mf.spec, N)
     field, n = algebra.field, mf.n
 
@@ -139,11 +135,8 @@ def _truncated_data(mf: MatrixFactorization, N: int):
 
     G = _blocks(list(zip(*mf.phi)), multiples)
     H, _pivots = echelon(_blocks(mf.psi, multiples), field)
-    E, S = _system(G, H, n, field)
-    w = S.shape[1]
-    reduced, pivots = echelon(np.hstack([S, E]), field)
-    k = bisect.bisect_left(pivots, w)
-    return algebra, reduced[k:, w:], [q - w for q in pivots[k:]]
+    _Y, _pivots, K, K_pivots = eliminate(*_system(G, H, n, field), field)
+    return algebra, K, K_pivots
 
 
 def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
@@ -180,7 +173,8 @@ class _WitnessSearcher:
     The same system as the truncated solve, over exact polynomial
     coefficients (no truncation, hence exact): the column side is spanned by
     {m * phi[:, i]} and the vectors {f * m e_k} that absorb gamma, the row
-    side by {m * psi[j, :]}, so y holds the coefficients of beta.
+    side by {m * psi[j, :]}, so y holds the coefficients of beta.  Each r
+    costs the products K r and Y r and the solve for alpha and gamma.
     """
 
     def __init__(self, mf: MatrixFactorization, D: int):
@@ -204,8 +198,9 @@ class _WitnessSearcher:
         self.G = np.vstack([blocks(list(zip(*mf.phi)), self.alpha_monos),
                             blocks(absorbers, self.gamma_monos)])
         self.H = blocks(mf.psi, self.alpha_monos)  # rows (j, m) = m * psi[j, :]
-        # built once, since only the right-hand side depends on r
-        self.E, self.S = _system(self.G, self.H, n, field)
+        # eliminated once, since only the right-hand side E r depends on r
+        self.Y, self.y_pivots, self.K, _K_pivots = eliminate(
+            *_system(self.G, self.H, n, field), field)
 
     def _matrix(self, coeffs, monos):
         """The polynomial matrix whose entry (i, j) has coefficients coeffs[i, j]."""
@@ -221,19 +216,18 @@ class _WitnessSearcher:
         r_vec = self.space.vector(r, field)
         if r_vec is None:
             return None  # the right-hand side escapes the reachable monomials
-        sol = solve(self.S, dot(self.E, r_vec, field), field)
-        if sol is None:
-            return None
-        y = sol[0].reshape(n, -1)  # row i: beta[i][j] at (j, m)
+        if np.count_nonzero(dot(self.K, r_vec, field)):
+            return None  # S y = E r is inconsistent
+        y = zeros(n * len(self.H), field)  # beta[i][j] at (i, j, m)
+        y[self.y_pivots] = dot(self.Y, r_vec, field)
         # column J of r*I - beta*psi, one right-hand side each, expressed in
-        # the rows of G to recover alpha and gamma
-        cols = neg(dot(y, self.H, field), field).reshape(n, n, -1)  # [i, J]
+        # the rows of G to recover alpha and gamma (x: rows as in G, column J)
+        cols = neg(dot(y.reshape(n, -1), self.H, field), field).reshape(n, n, -1)  # [i, J]
         diag = np.arange(n)
         cols[diag, diag] = mod(cols[diag, diag] + r_vec, field)
-        sol = solve(self.G.T, cols.transpose(0, 2, 1).reshape(-1, n), field)
-        if sol is None:
+        x = solve(self.G.T, cols.transpose(0, 2, 1).reshape(-1, n), field)
+        if x is None:
             raise InvariantError("the residual of a solved system left the column span")
-        x = sol[0]  # rows as in G, column J
         witness = Witness(
             r,
             self._matrix(x[:n * na].reshape(n, na, n).transpose(0, 2, 1), self.alpha_monos),

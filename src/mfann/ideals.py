@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import InvariantError
 from .linalg import Subspace, as_array, solve
 from .poly import CoefficientSpace, Polynomial, monomials_upto
 from .truncation import RingSpec, SpecError, TruncatedAlgebra, build_truncation
@@ -166,18 +167,20 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
     space = CoefficientSpace(spec.nvars, [(g, monos) for g in gens] + [(p, [(0,) * spec.nvars])])
     A = np.vstack([space.multiples(g, monos, f) for g in gens]).T
     b = space.vector(p, f)
-    sol = solve(A, b, f)
-    if sol is None:
+    x = solve(A, b, f)
+    if x is None:
         # exact cofactors put reduce(p) inside the truncated ideal, so the
         # truncation is only needed when the solve fails
         if not truncate_ideal(ideal, algebra).contains(algebra.reduce(p)):
             return MemberResult("no-certified")
         return MemberResult("undetermined")
-    particular = sol[0].reshape(len(gens), len(monos))
     cofactors = tuple(
         Polynomial(f, spec.nvars, {m: f.coerce(c) for m, c in zip(monos, row)})
-        for row in particular
+        for row in x.reshape(len(gens), len(monos))
     )
+    # the certificate is checked by polynomial arithmetic, not by the solve
+    if sum((h * g for h, g in zip(cofactors, gens)), Polynomial.zero(f, spec.nvars)) != p:
+        raise InvariantError("membership cofactors do not reproduce the polynomial")
     return MemberResult("yes-certified", cofactors)
 
 

@@ -6,9 +6,9 @@ partial sum reaches 2^63 (delayed modular reduction), and `_dot_sparse`
 reduces its accumulator as often.  Row reduction first clears the rows with a
 single nonzero entry, which need no arithmetic at all, and reduces mod p
 after every pivot step on the rest.  This is the only elimination path:
-`echelon` returns the reduced form and its pivots and nothing else, and the
-coordinates of a vector in the span of given rows come from `solve` on
-their transpose, whose particular solution is canonical.
+`echelon` returns the reduced form and its pivots, `eliminate` is the one
+place that splits one, and `solve` reads it and returns only the solution
+with every free variable zero, which is canonical.
 
 Over the rationals a matrix is an object array whose nonzero entries are
 `Fraction`s and whose zeros are the Python int 0, an exact rational that
@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "rref", "kernel", "solve_affine", "mat_mul", "Subspace", "eye",
-    "zeros", "as_array", "dot", "mod", "neg", "echelon", "null_space", "solve",
+    "rref", "kernel", "solve_affine", "mat_mul", "Subspace", "eye", "zeros",
+    "as_array", "dot", "mod", "neg", "echelon", "eliminate", "null_space", "solve",
 ]
 
 _INT64_MAX = 2**63 - 1
@@ -238,23 +238,29 @@ def null_space(R, pivots, ncols, field):
     return out
 
 
-def solve(A, b, field):
-    """(particular, null space rows) of A x = b, or None if inconsistent.
-
-    b is a vector, or a matrix with one right-hand side per column; then the
-    particular solution has one column per right-hand side, and None means
-    that some column is inconsistent.  The particular solution is the one
-    with every free variable zero.
-    """
-    ncols = A.shape[1]
-    B = b[:, None] if b.ndim == 1 else b
+def eliminate(A, B, field):
+    """(Y, pivots, K, K_pivots): the B columns of the reduced [A | B], in Y
+    from its rows pivoting in A (at `pivots`) and in K from the rest (at
+    K_pivots among B's columns), copied so that [A | B] is freed.  A y = B r
+    is solvable exactly when K r = 0, and then y[pivots] = Y r, with every
+    other entry zero, is its solution with every free variable zero."""
+    w = A.shape[1]
     R, pivots = echelon(np.hstack([A, B]), field)
-    if pivots and pivots[-1] >= ncols:
+    k = bisect.bisect_left(pivots, w)
+    return R[:k, w:].copy(), pivots[:k], R[k:, w:].copy(), [q - w for q in pivots[k:]]
+
+
+def solve(A, b, field):
+    """The solution of A x = b with every free variable zero, or None if
+    inconsistent.  b is a vector, or a matrix with one right-hand side per
+    column; then None means that some column is inconsistent."""
+    B = b[:, None] if b.ndim == 1 else b
+    Y, pivots, K, _K_pivots = eliminate(A, B, field)
+    if len(K):
         return None
-    particular = zeros((ncols, B.shape[1]), field)
-    particular[pivots] = R[:, ncols:]
-    return (particular if b.ndim == 2 else particular[:, 0],
-            null_space(R[:, :ncols], pivots, ncols, field))
+    x = zeros((A.shape[1], B.shape[1]), field)
+    x[pivots] = Y
+    return x if b.ndim == 2 else x[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +310,8 @@ def solve_affine(A, b, field):
     for row in A:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    sol = solve(as_array(A, field), as_array(b, field), field)
-    return None if sol is None else (sol[0].tolist(), sol[1].tolist())
+    x = solve(as_array(A, field), as_array(b, field), field)
+    return None if x is None else (x.tolist(), kernel(A, field))
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +379,15 @@ class Subspace:
             self.field, self.ambient, np.vstack([self.basis, other.basis]))
 
     def intersect(self, other):
-        """Zassenhaus intersection."""
-        f = self.field
-        amb = self.ambient
-        if amb != other.ambient:
+        """Zassenhaus intersection: the rows of the reduced [U U; V 0] that
+        pivot in its right half span U meet V."""
+        if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        stacked = np.vstack([
-            np.hstack([self.basis, self.basis]),
-            np.hstack([other.basis, zeros(other.basis.shape, f)]),
-        ])
-        R, pivots = echelon(stacked, f)
-        # The rows pivoting in the right half are already a reduced basis.
-        k = bisect.bisect_left(pivots, amb)
-        return Subspace(f, amb, R[k:, amb:].copy(), [q - amb for q in pivots[k:]])
+        f = self.field
+        _Y, _pivots, K, K_pivots = eliminate(
+            np.vstack([self.basis, other.basis]),
+            np.vstack([self.basis, zeros(other.basis.shape, f)]), f)
+        return Subspace(f, self.ambient, K, K_pivots)
 
     def preimage(self, A):
         """{x : A x in self} for A given as ambient x n rows."""

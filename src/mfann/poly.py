@@ -46,8 +46,13 @@ def grlex_key(m):
 
 def grlex_keys(exps, base: int):
     """Integer keys of exponent rows (last axis) that sort like grlex_key;
-    distinct for distinct rows while every exponent is below base."""
-    weights = base ** np.arange(exps.shape[-1], -1, -1, dtype=np.int64)
+    distinct for distinct rows while every exponent is below base.  A
+    ValueError if the largest key, k (base-1) base^k + base^k - 1 in k
+    variables, does not fit in int64."""
+    k = exps.shape[-1]
+    if k * (base - 1) * base**k + base**k - 1 > 2**63 - 1:
+        raise ValueError(f"exponents up to {base - 1} in {k} variables overflow int64 keys")
+    weights = base ** np.arange(k, -1, -1, dtype=np.int64)
     return np.concatenate([exps.sum(axis=-1)[..., None], exps], axis=-1) @ weights
 
 

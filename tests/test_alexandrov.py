@@ -207,8 +207,8 @@ def reference_verdict(family, n_max, D=4):
             return "compact", lab, gens, edges, lab, meet
     for lab, _fam, _limit in family.parametric:
         chain = [f"{lab}[n={n}]" for n in range(1, n_max + 1)]
-        if all((b, a) in edges and spaces[b].dim < spaces[a].dim
-               for a, b in zip(chain, chain[1:])):
+        if len(chain) >= 2 and all((b, a) in edges and spaces[b].dim < spaces[a].dim
+                                   for a, b in zip(chain, chain[1:])):
             return "not-compact-evidence", None, gens, edges, chain, meet
     return "undetermined", None, gens, edges, None, meet
 

@@ -6,7 +6,10 @@ phi*alpha + beta*psi inside (R_N)^(n x n) one unit coordinate at a time,
 then pull back the diagonal embedding r |-> r*I.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfann.annihilator import (
     Witness,
@@ -22,6 +25,7 @@ from mfann.linalg import Subspace
 from mfann.mf import catalog, catalog_labels, ring_spec, swap
 from mfann.poly import Polynomial
 from mfann.truncation import build_truncation
+from test_linalg import reference_rref
 
 F13 = PrimeField(13, 5)
 QQ = Rationals()
@@ -223,3 +227,92 @@ def test_reported_witness_degree_is_the_least_degree_with_a_witness(ring_id, fie
                 least = next(D for D in range(result.D + 1)
                              if witness_search(mf, g, D) is not None)
                 assert w.max_degree() == least, (mf.label, g)
+
+
+def oracle_has_witness(mf, r, D):
+    """Whether phi*alpha + beta*psi - f*gamma = r*I has a solution with
+    deg alpha, deg beta <= D: one unknown per coefficient of alpha, beta and
+    gamma, one equation per coefficient of the entries of the polynomial
+    products, solved by Gauss-Jordan on lists."""
+    spec = mf.spec
+    field, nv, n = spec.field, spec.nvars, mf.n
+    top = max(e.degree() for row in mf.phi + mf.psi for e in row)
+    # f*gamma = phi*alpha + beta*psi - r*I and deg(f*gamma) = deg f + deg gamma
+    gamma_degree = max(D + top, r.degree()) - spec.f.degree()
+
+    def monomials(d):
+        return [Polynomial.from_monomial(field, m)
+                for m in itertools.product(range(d + 1), repeat=nv) if sum(m) <= d]
+
+    unknowns = []  # each: {entry (i, j): the polynomial its unit value adds}
+    for a, b in itertools.product(range(n), repeat=2):
+        for m in monomials(D):
+            unknowns.append({(i, b): mf.phi[i][a] * m for i in range(n)})  # alpha[a][b]
+            unknowns.append({(a, j): m * mf.psi[b][j] for j in range(n)})  # beta[a][b]
+        for m in monomials(gamma_degree):
+            unknowns.append({(a, b): -(spec.f * m)})  # gamma[a][b]
+    equations = {(i, i, mono) for i in range(n) for mono in r.terms}
+    for u in unknowns:
+        equations |= {(i, j, mono) for (i, j), p in u.items() for mono in p.terms}
+    rows = [[u[(i, j)].terms.get(mono, field.zero) if (i, j) in u else field.zero
+             for u in unknowns] + [r.terms.get(mono, field.zero) if i == j else field.zero]
+            for i, j, mono in sorted(equations)]
+    _R, pivots = reference_rref(rows, field)
+    return not pivots or pivots[-1] < len(unknowns)
+
+
+# catalog entries with 2 x 2 matrices at most, n <= 2; a-inf-2 needs a
+# square root of -1, which Q lacks
+WITNESS_ORACLE_CASES = [
+    (field, ring_id, label, n)
+    for field in (F13, QQ)
+    for ring_id in ("a-inf-1", "a-inf-2", "d-inf-1", "d-inf-2")
+    if field.is_prime or ring_id != "a-inf-2"
+    for label, parametric in catalog_labels(ring_id)
+    for n in ((1, 2) if parametric else (None,))
+    if catalog(ring_id, label, n, field).mf.n <= 2
+]
+
+
+@st.composite
+def witness_cases(draw):
+    field, ring_id, label, n = draw(st.sampled_from(WITNESS_ORACLE_CASES))
+    entry = catalog(ring_id, label, n, field)
+    spec = entry.mf.spec
+    D = draw(st.integers(0, 2))
+    monos = [m for m in itertools.product(range(3), repeat=spec.nvars) if sum(m) <= 2]
+
+    def small():
+        terms = draw(st.dictionaries(st.sampled_from(monos), st.integers(-3, 3), max_size=2))
+        return Polynomial(field, spec.nvars, {m: field.coerce(c) for m, c in terms.items()})
+
+    # a combination of the annihilator's generators, which has a witness at
+    # some degree, plus a term that may break it
+    r = Polynomial.zero(field, spec.nvars)
+    for g in entry.expected_annihilator.generators:
+        r = r + small() * g
+    if draw(st.booleans()):
+        r = r + small()
+    # past degree D + (largest entry degree), gamma may need more degrees
+    # than the searcher gives it, so r stays below
+    top = max(e.degree() for row in entry.mf.phi + entry.mf.psi for e in row)
+    return entry.mf, r.truncate(D + top + 1), D
+
+
+@settings(max_examples=100, deadline=None)
+@given(witness_cases())
+def test_witness_search_matches_a_coefficient_oracle(case):
+    mf, r, D = case
+    found = witness_search(mf, r, D)
+    assert (found is not None) == oracle_has_witness(mf, r, D)
+    assert found is None or found.verify(mf)
+
+
+@pytest.mark.xfail(strict=True, reason="the searcher bounds deg gamma by D alone, not by deg r")
+def test_witness_search_above_the_gamma_window():
+    # x*alpha + beta*x - x^2*gamma = x^2*y has alpha = beta = 0, gamma = -y,
+    # but gamma of degree 1 lies outside the degree-0 searcher's window
+    mf = catalog("a-inf-1", "R/xR", None, F13).mf
+    r = mf.spec.poly("x^2*y")
+    assert oracle_has_witness(mf, r, 0)
+    assert witness_search(mf, r, 0) is not None

@@ -109,6 +109,17 @@ def test_topology_cm0_subfamily(capsys):
     assert report["result"]["global_intersection"] == "(x)"
 
 
+def test_one_instance_chain_is_not_evidence(capsys):
+    # n_max = 1 leaves a chain of one instance, which cannot descend
+    code, out, _ = run(
+        capsys, "topology", "a-inf-1", "--subfamily", "cm0", "-N", "6", "--n-max", "1"
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["result"]["verdict"] == "undetermined"
+    assert report["result"]["evidence"] is None and report["pass"] is False
+
+
 def test_double_reports_both_sides(capsys):
     code, out, _ = run(capsys, "double", "a-inf-1/phi?n=2", "-N", "8")
     assert code == 0

@@ -1,8 +1,10 @@
 """Ideal membership, generator extraction, colength probes, and chain limits."""
 
+import numpy as np
 import pytest
 
-from mfann.fields import PrimeField
+from mfann import ideals
+from mfann.fields import InvariantError, PrimeField
 from mfann.ideals import (
     IdealSpec,
     ParametricIdealFamily,
@@ -129,3 +131,19 @@ def test_ideal_spec_validation():
         IdealSpec(XX, (XX.poly("0"),))
     with pytest.raises(Exception):
         truncate_ideal(I(XX, "x"), build_truncation(XXY, 5))
+
+
+def test_member_rejects_exponents_past_int64_keys():
+    # y^60000 in three variables needs graded-lex keys beyond int64
+    with pytest.raises(ValueError, match="overflow"):
+        member(XXZZ.poly("y^60000"), I(XXZZ, "x"), N=5, D=0)
+
+
+def test_member_checks_solved_cofactors(monkeypatch):
+    # a solve that returns a wrong vector must not become a certificate
+    def wrong(A, b, field):
+        return np.ones(A.shape[1], dtype=np.int64)
+
+    monkeypatch.setattr(ideals, "solve", wrong)
+    with pytest.raises(InvariantError, match="cofactors"):
+        member(XXY.poly("x^2 + x*y"), I(XXY, "x"), N=8, D=3)

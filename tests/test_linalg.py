@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
-from mfann.linalg import (Subspace, _dot_sparse, as_array, dot, echelon, kernel, mat_mul,
-                          null_space, rref, solve, solve_affine)
+from mfann.linalg import (Subspace, _dot_sparse, as_array, dot, echelon, eliminate, kernel,
+                          mat_mul, null_space, rref, solve, solve_affine, zeros)
 
 F13 = PrimeField(13, 5)
 F_BIG = PrimeField(2**31 - 1)
@@ -250,14 +250,14 @@ def test_rational_elimination_matches_the_list_reference(data):
     B = dot(A, X, QQ)
     if len(B) and data.draw(st.booleans()):
         B[data.draw(st.integers(0, len(B) - 1))] += 1  # may leave the column space
-    sol = solve(A, B, QQ)
+    x = solve(A, B, QQ)
     expected = reference_solve(A, B, QQ)
     if expected is None:
-        assert sol is None
+        assert x is None
     else:
-        assert [part.tolist() for part in sol] == list(expected)
+        assert x.tolist() == expected[0]
         assert null.tolist() == expected[1]
-        assert_python_entries(*sol)
+        assert_python_entries(x)
     assert_python_entries(R, null, B)
 
 
@@ -309,13 +309,14 @@ def test_solve_with_a_matrix_right_hand_side(field, data):
     k = min(A.shape[1], X.shape[0])
     A, X = A[:, :k], X[:k]
     B = dot(A, X, field)  # every column consistent
-    particular, null = solve(A, B, field)
+    particular = solve(A, B, field)
+    null = null_space(*echelon(A, field), k, field)
     assert particular.shape == X.shape
     assert np.array_equal(dot(A, particular, field), B)
     for j in range(B.shape[1]):
         column = solve(A, B[:, j], field)
-        assert np.array_equal(particular[:, j], column[0])
-        assert np.array_equal(null, column[1])
+        assert np.array_equal(particular[:, j], column)
+        assert null.tolist() == reference_solve(A, B[:, j:j + 1], field)[1]
     if len(A) and B.shape[1]:
         # a right-hand side outside the column space makes the whole solve fail
         units = [as_array([field.one if i == j else field.zero for i in range(len(A))], field)
@@ -324,3 +325,38 @@ def test_solve_with_a_matrix_right_hand_side(field, data):
         if outside is not None:
             B[:, data.draw(st.integers(0, B.shape[1] - 1))] = outside
             assert solve(A, B, field) is None
+
+
+@over_three_fields
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eliminate_decides_and_solves(field, data):
+    # A y = B r is solvable exactly when K r = 0, and then y from Y r is the
+    # solution that solve and the list reference give; K is the part of the
+    # reduced [A | B] that pivots in B
+    M = data.draw(sparse_matrices(field))
+    w = data.draw(st.integers(0, M.shape[1]))
+    A, B = M[:, :w], M[:, w:]
+    Y, pivots, K, K_pivots = eliminate(A, B, field)
+    R_ref, pivots_ref = reference_rref(M.tolist(), field)
+    k = sum(q < w for q in pivots_ref)
+    assert K.tolist() == [row[w:] for row in R_ref[k:]]
+    assert K_pivots == [q - w for q in pivots_ref[k:]] and pivots == pivots_ref[:k]
+    r = as_array([data.draw(st.just(field.zero) | nonzero_elements(field))
+                  for _ in range(B.shape[1])], field)
+    if len(K) and data.draw(st.booleans()):
+        # a right-hand side with K r = 0
+        null = null_space(K, K_pivots, B.shape[1], field)
+        r = dot(as_array([data.draw(nonzero_elements(field)) for _ in range(len(null))], field),
+                null, field)
+    b = dot(B, r, field)
+    consistent = not np.count_nonzero(dot(K, r, field))
+    x = solve(A, b, field)
+    expected = reference_solve(A, b[:, None], field)
+    assert (x is not None) == consistent == (expected is not None)
+    if consistent:
+        y = zeros(w, field)
+        y[pivots] = dot(Y, r, field)
+        assert np.array_equal(y, x)
+        assert y.tolist() == [row[0] for row in expected[0]]
+    assert_python_entries(Y, K)

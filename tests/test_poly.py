@@ -9,6 +9,7 @@ from mfann.poly import (
     CoefficientSpace,
     Polynomial,
     grlex_key,
+    grlex_keys,
     mono_deg,
     mono_mul,
     monomials_below,
@@ -152,3 +153,33 @@ def test_coefficient_space_rejects_what_it_cannot_hold():
     huge = Polynomial.variable(F13, 1, 0, power=2 + 2**62)
     assert line.vector(Polynomial.variable(F13, 1, 0, power=2), F13) is not None
     assert line.vector(huge, F13) is None
+
+
+def largest_key_base(k):
+    """The largest base whose keys for k variables fit in int64."""
+    lo, hi = 2, 2**32
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if k * (mid - 1) * mid**k + mid**k - 1 <= 2**63 - 1:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_grlex_keys_never_wrap(k):
+    base = largest_key_base(k)
+    top = np.full((1, k), base - 1, dtype=np.int64)
+    # the largest key still fits and equals its value over Python ints
+    expected = k * (base - 1) * base**k + base**k - 1
+    assert int(grlex_keys(top, base)[0]) == expected
+    with pytest.raises(ValueError, match="overflow"):
+        grlex_keys(top, base + 1)
+
+
+def test_coefficient_space_rejects_keys_past_int64():
+    y = Polynomial.variable(F13, 3, 1, 60000)
+    x = Polynomial.variable(F13, 3, 0)
+    with pytest.raises(ValueError, match="overflow"):
+        CoefficientSpace(3, [(y, [(0, 0, 0)]), (x, [(0, 0, 0)])])
