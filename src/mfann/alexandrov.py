@@ -17,7 +17,6 @@ import numpy as np
 from .fields import InvariantError
 from .ideals import (
     IdealSpec,
-    ParametricIdealFamily,
     extract_generators,
     generator_rows,
     is_m_primary,

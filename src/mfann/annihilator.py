@@ -29,7 +29,7 @@ from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, 
 from .linalg import (Subspace, _dot_sparse, dot, echelon, eliminate, mod, neg, null_space, solve,
                      zeros)
 from .mf import MatrixFactorization, poly_mat_mul
-from .poly import CoefficientSpace, Polynomial, grlex_key, monomials_upto
+from .poly import MonomialBox, Polynomial, grlex_key
 from .truncation import build_truncation
 
 __all__ = [
@@ -54,7 +54,6 @@ class Witness:
 
     def verify(self, mf: MatrixFactorization) -> bool:
         spec = mf.spec
-        zero = Polynomial.zero(spec.field, spec.nvars)
         lhs = poly_mat_mul(mf.phi, self.alpha)
         rhs = poly_mat_mul(self.beta, mf.psi)
         for i in range(mf.n):
@@ -173,49 +172,49 @@ class _WitnessSearcher:
     The same system as the truncated solve, over exact polynomial
     coefficients (no truncation, hence exact): the column side is spanned by
     {m * phi[:, i]} and the vectors {f * m e_k} that absorb gamma, the row
-    side by {m * psi[j, :]}, so y holds the coefficients of beta.  Each r
-    costs the products K r and Y r and the solve for alpha and gamma.
+    side by {m * psi[j, :]}, so y holds the coefficients of beta.  For r of
+    degree <= top, where top >= D + (largest entry degree), every product
+    has degree <= top, so deg(f*gamma) = deg f + deg gamma bounds gamma by
+    top - deg f exactly.  Coefficients live on the MonomialBox of degree
+    <= max(top, deg f), whose prefixes are the alpha and gamma monomials.
+    Each r costs the products K r and Y r and the solve for alpha and gamma.
     """
 
-    def __init__(self, mf: MatrixFactorization, D: int):
+    def __init__(self, mf: MatrixFactorization, D: int, top: int):
         self.mf = mf
         spec = mf.spec
         field = spec.field
-        n, nv = mf.n, spec.nvars
-        entries = [e for row in list(mf.phi) + list(mf.psi) for e in row]
-        gamma_bound = max(D + max(e.degree() for e in entries) - spec.f.min_degree(), 0)
-        self.alpha_monos = monomials_upto(nv, D)
-        self.gamma_monos = monomials_upto(nv, gamma_bound)
-        self.space = CoefficientSpace(
-            nv, [(spec.f, self.gamma_monos)] + [(e, self.alpha_monos) for e in entries])
+        n = mf.n
+        self.box = MonomialBox(spec.nvars, max(top, spec.f.degree()) + 1)
 
-        def blocks(mat, monos):
-            return _blocks(mat, lambda e: self.space.multiples(e, monos, field))
+        def blocks(mat, degree):
+            return _blocks(mat, lambda e: self.box.multiples(e, degree, field))
 
-        zero = Polynomial.zero(field, nv)
+        zero = Polynomial.zero(field, spec.nvars)
         absorbers = [[spec.f if k == j else zero for j in range(n)] for k in range(n)]
         # rows (i, m) = m * phi[:, i], then (k, m) = f * m e_k
-        self.G = np.vstack([blocks(list(zip(*mf.phi)), self.alpha_monos),
-                            blocks(absorbers, self.gamma_monos)])
-        self.H = blocks(mf.psi, self.alpha_monos)  # rows (j, m) = m * psi[j, :]
+        self.G = np.vstack([blocks(list(zip(*mf.phi)), D),
+                            blocks(absorbers, max(top - spec.f.degree(), 0))])
+        self.H = blocks(mf.psi, D)  # rows (j, m) = m * psi[j, :]
         # eliminated once, since only the right-hand side E r depends on r
         self.Y, self.y_pivots, self.K, _K_pivots = eliminate(
             *_system(self.G, self.H, n, field), field)
 
-    def _matrix(self, coeffs, monos):
-        """The polynomial matrix whose entry (i, j) has coefficients coeffs[i, j]."""
+    def _matrix(self, coeffs):
+        """The polynomial matrix whose entry (i, j) has coefficients
+        coeffs[i, j] on the first monomials of the box."""
         field = self.mf.spec.field
         return tuple(tuple(
-            Polynomial(field, self.mf.spec.nvars, {m: field.coerce(c) for m, c in zip(monos, e)})
+            Polynomial(field, self.mf.spec.nvars,
+                       {m: field.coerce(c) for m, c in zip(self.box.monos, e)})
             for e in row) for row in coeffs)
 
     def search(self, r: Polynomial):
         mf = self.mf
         field = mf.spec.field
-        n, na = mf.n, len(self.alpha_monos)
-        r_vec = self.space.vector(r, field)
-        if r_vec is None:
-            return None  # the right-hand side escapes the reachable monomials
+        n = mf.n
+        na = len(self.H) // n
+        r_vec = self.box.vector(r, field)
         if np.count_nonzero(dot(self.K, r_vec, field)):
             return None  # S y = E r is inconsistent
         y = zeros(n * len(self.H), field)  # beta[i][j] at (i, j, m)
@@ -230,10 +229,9 @@ class _WitnessSearcher:
             raise InvariantError("the residual of a solved system left the column span")
         witness = Witness(
             r,
-            self._matrix(x[:n * na].reshape(n, na, n).transpose(0, 2, 1), self.alpha_monos),
-            self._matrix(y.reshape(n, n, na), self.alpha_monos),
-            self._matrix(neg(x[n * na:], field).reshape(n, -1, n).transpose(0, 2, 1),
-                         self.gamma_monos),
+            self._matrix(x[:n * na].reshape(n, na, n).transpose(0, 2, 1)),
+            self._matrix(y.reshape(n, n, na)),
+            self._matrix(neg(x[n * na:], field).reshape(n, -1, n).transpose(0, 2, 1)),
         )
         if not witness.verify(mf):
             raise InvariantError("recovered witness failed exact verification")
@@ -241,8 +239,8 @@ class _WitnessSearcher:
 
 
 @functools.lru_cache(maxsize=64)
-def _searcher(mf: MatrixFactorization, D: int) -> _WitnessSearcher:
-    return _WitnessSearcher(mf, D)
+def _searcher(mf: MatrixFactorization, D: int, top: int) -> _WitnessSearcher:
+    return _WitnessSearcher(mf, D, top)
 
 
 def witness_search(mf: MatrixFactorization, r: Polynomial, D: int):
@@ -252,7 +250,8 @@ def witness_search(mf: MatrixFactorization, r: Polynomial, D: int):
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
-    return _searcher(mf, D).search(r)
+    entry_degree = max(e.degree() for row in mf.phi + mf.psi for e in row)
+    return _searcher(mf, D, max(D + entry_degree, r.degree())).search(r)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from .alexandrov import compactness_verdict
 from .annihilator import annihilate, annihilator_truncated
 from .families import EXPECTED_VERDICTS, build_family
-from .fields import FieldError, InvariantError, default_field, field_to_config, parse_field_flag
+from .fields import FieldError, InvariantError, field_to_config, parse_field_flag
 from .ideals import truncate_ideal
 from .mf import (
     RING_IDS,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import InvariantError
 from .linalg import Subspace, as_array, solve
-from .poly import CoefficientSpace, Polynomial, monomials_upto
+from .poly import MonomialBox, Polynomial, monomials_upto
 from .truncation import RingSpec, SpecError, TruncatedAlgebra, build_truncation
 
 __all__ = [
@@ -161,13 +161,12 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
         k = gens.index(p)
         return MemberResult("yes-certified", tuple(
             Polynomial.constant(f, spec.nvars, int(i == k)) for i in range(len(gens))))
-    monos = monomials_upto(spec.nvars, D)
     # one unknown per (generator, monomial) cofactor coefficient, one
-    # equation per monomial reached
-    space = CoefficientSpace(spec.nvars, [(g, monos) for g in gens] + [(p, [(0,) * spec.nvars])])
-    A = np.vstack([space.multiples(g, monos, f) for g in gens]).T
-    b = space.vector(p, f)
-    x = solve(A, b, f)
+    # equation per monomial of the box, which holds every sum h_i g_i + h_0 f
+    box = MonomialBox(spec.nvars, max(D, 0) + max(g.degree() for g in gens) + 1)
+    b = box.vector(p, f)
+    # p leaving the box is no combination in the window: the truncation decides
+    x = None if b is None else solve(np.vstack([box.multiples(g, D, f) for g in gens]).T, b, f)
     if x is None:
         # exact cofactors put reduce(p) inside the truncated ideal, so the
         # truncation is only needed when the solve fails
@@ -175,8 +174,8 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
             return MemberResult("no-certified")
         return MemberResult("undetermined")
     cofactors = tuple(
-        Polynomial(f, spec.nvars, {m: f.coerce(c) for m, c in zip(monos, row)})
-        for row in x.reshape(len(gens), len(monos))
+        Polynomial(f, spec.nvars, {m: f.coerce(c) for m, c in zip(box.monos, row)})
+        for row in x.reshape(len(gens), -1)
     )
     # the certificate is checked by polynomial arithmetic, not by the solve
     if sum((h * g for h, g in zip(cofactors, gens)), Polynomial.zero(f, spec.nvars)) != p:

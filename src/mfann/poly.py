@@ -3,7 +3,9 @@
 A monomial is a tuple of non-negative exponents, one per variable.  A
 polynomial stores a map monomial -> nonzero coefficient over a fixed field.
 Monomial comparison is graded lexicographic with the declared variable order
-(x > y > z for variables declared as ("x", "y", "z")).
+(x > y > z for variables declared as ("x", "y", "z")).  Coefficient vectors
+index the monomials of degree < N through one MonomialBox: R_N's reduction
+table and the exact witness and membership solves share it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .linalg import as_array, zeros
 Monomial = tuple
 
 __all__ = [
-    "CoefficientSpace",
     "Monomial",
+    "MonomialBox",
     "Polynomial",
     "grlex_key",
     "grlex_keys",
@@ -79,47 +81,51 @@ def monomials_below(nvars: int, n: int) -> list:
     return monomials_upto(nvars, n - 1)
 
 
-class CoefficientSpace:
-    """Polynomials as coefficient vectors over a finite support: the
-    monomials of p * m over the pairs (p, monos) it is built from, one
-    coordinate each, ascending graded-lex."""
+class MonomialBox:
+    """The monomials of degree < N, one index each in ascending graded-lex
+    order, with their graded-lex keys in base 2N and their degrees.
 
-    def __init__(self, nvars: int, pairs):
-        self.nvars = nvars
-        exps = [self._shifted(p, monos) for p, monos in pairs]
-        self.base = 1 + max(int(e.max(initial=0)) for e in exps)
-        self.keys = np.unique(np.concatenate([grlex_keys(e, self.base).ravel() for e in exps]))
-        self.dim = len(self.keys)
+    The keys of two monomials of the box add to the key of their product,
+    which never aliases another key; a product of degree >= N, or any
+    monomial of degree >= N, gets the index dim.  The int64 key bound is
+    checked before a monomial is listed.
+    """
 
-    def _shifted(self, p, monos):
-        """The exponents of m * t over the terms t of p and m in monos: [t, m]."""
-        return (np.array(list(p.terms), dtype=np.int64).reshape(-1, 1, self.nvars)
-                + np.array(monos, dtype=np.int64).reshape(-1, self.nvars))
+    def __init__(self, nvars: int, N: int):
+        grlex_keys(np.zeros((0, nvars), dtype=np.int64), 2 * N)  # the key bound
+        self.nvars, self.N = nvars, N
+        self.monos = monomials_below(nvars, N)
+        self.dim = len(self.monos)
+        exps = np.array(self.monos, dtype=np.int64).reshape(self.dim, nvars)
+        self.keys, self.degs = grlex_keys(exps, 2 * N), exps.sum(axis=1)
 
-    def _at(self, p, monos):
-        """The coordinates [t, m] of m * t, or None if one leaves the support
-        (an exponent reaching base would alias another key)."""
-        exps = self._shifted(p, monos)
-        keys = grlex_keys(exps, self.base)
-        at = np.searchsorted(self.keys, keys)
-        if (exps.max(initial=0) >= self.base or np.any(at == self.dim)
-                or np.any(self.keys[at] != keys)):
-            return None
-        return at
+    def locate(self, keys, degs):
+        """Indices of the monomials with these keys and degrees (arrays of
+        one shape); dim for a monomial of degree >= N."""
+        return np.where(degs < self.N, np.searchsorted(self.keys, keys), self.dim)
 
-    def multiples(self, p, monos, field):
-        """Rows m * p over m in monos; ValueError if one leaves the space."""
-        at = self._at(p, monos)
-        if at is None:
-            raise ValueError("multiples outside the coefficient space")
-        out = zeros((len(monos), self.dim), field)
-        out[np.arange(len(monos)), at] = as_array(list(p.terms.values()), field)[:, None]
+    def terms(self, p, field):
+        """Keys, degrees and coefficients of the terms of p of degree < N."""
+        terms = [(m, c) for m, c in p.terms.items() if sum(m) < self.N]
+        exps = np.array([m for m, _ in terms], dtype=np.int64).reshape(-1, self.nvars)
+        return (grlex_keys(exps, 2 * self.N), exps.sum(axis=1),
+                as_array([c for _, c in terms], field))
+
+    def multiples(self, p, D: int, field):
+        """Rows m * p over the monomials m of degree <= D, a prefix of the
+        box; ValueError if a product leaves the box."""
+        if D >= 0 and p.degree() + D >= self.N:
+            raise ValueError("multiples outside the monomial box")
+        count = int(np.searchsorted(self.degs, D, side="right"))
+        keys, degs, coeffs = self.terms(p, field)
+        at = self.locate(keys[:, None] + self.keys[:count], degs[:, None] + self.degs[:count])
+        out = zeros((count, self.dim), field)
+        out[np.arange(count), at] = coeffs[:, None]  # [term, m]
         return out
 
     def vector(self, p, field):
-        """The coefficient vector of p, or None if p leaves the space."""
-        one = [(0,) * self.nvars]
-        return None if self._at(p, one) is None else self.multiples(p, one, field)[0]
+        """The coefficient vector of p, or None if deg p >= N."""
+        return None if p.degree() >= self.N else self.multiples(p, 0, field)[0]
 
 
 class Polynomial:

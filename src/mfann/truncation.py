@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpecError, field_from_config, field_to_config, json_check, json_item
-from .linalg import as_array, echelon, mod, neg, zeros
-from .poly import Polynomial, grlex_keys, monomials_below, parse_poly
+from .linalg import echelon, mod, neg, zeros
+from .poly import MonomialBox, Polynomial, parse_poly
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,10 @@ class RingSpec:
 class TruncatedAlgebra:
     """R_N with an explicit standard-monomial basis and exact reduction.
 
-    Every monomial of degree < N owns one row of a dense reduction table, in
-    graded-lex order: its coordinate vector over the standard basis (a unit
-    row for a standard monomial).  Rows are located by graded-lex keys in
-    base 2N, unique for products of two monomials of degree < N.  Keys and
+    Every monomial of degree < N owns one row of a dense reduction table, at
+    its index in the MonomialBox of degree < N: its coordinate vector over
+    the standard basis (a unit row for a standard monomial); the box's index
+    dim, for every monomial of degree >= N, is the zero row.  Keys and
     degrees are linear in the exponents, so the product of two monomials is
     located from the sums of theirs, without forming its exponents.  Multiplying
     by a polynomial gathers the nonzero entries of the shifted rows, through
@@ -89,27 +89,24 @@ class TruncatedAlgebra:
         self.spec = spec
         self.N = N
         field = spec.field
-        monos = monomials_below(spec.nvars, N)  # ascending graded-lex
-        n = len(monos)
-        exps = np.array(monos, dtype=np.int64).reshape(n, spec.nvars)
-        self._keys = grlex_keys(exps, 2 * N)  # ascending; row n is the zero row
-        degs = exps.sum(axis=1)
+        box = self.box = MonomialBox(spec.nvars, N)
+        n = box.dim  # index n, for every monomial of degree >= N, is the zero row
 
         # Terms of f of degree >= N only ever land on the zero row.  The
         # multipliers of f, of degree < N - min deg f, are the first u
         # monomials.
-        f_keys, f_degs, f_coeffs = self._terms(spec.f)
-        u = np.searchsorted(degs, N - spec.f.min_degree())
+        f_keys, f_degs, f_coeffs = box.terms(spec.f, field)
+        u = np.searchsorted(box.degs, N - spec.f.min_degree())
         rel = zeros((u, n + 1), field)
         rel[np.arange(u)[:, None],
-            self._locate(self._keys[:u, None] + f_keys, degs[:u, None] + f_degs)] = f_coeffs
+            box.locate(box.keys[:u, None] + f_keys, box.degs[:u, None] + f_degs)] = f_coeffs
         # Columns descending, so row reduction pivots on the largest monomial
         # of each relation and keeps the small monomials standard.
         reduced, pivots = echelon(rel[:, n - 1::-1], field)
         pivot_rows = n - 1 - np.array(pivots, dtype=np.int64)
         standard = np.setdiff1d(np.arange(n), pivot_rows)
-        self.basis = [monos[i] for i in standard]
-        self._basis_keys, self._basis_degs = self._keys[standard], degs[standard]
+        self.basis = [box.monos[i] for i in standard]
+        self._basis_keys, self._basis_degs = box.keys[standard], box.degs[standard]
         d = len(standard)
         self.table = zeros((n + 1, d), field)
         self.table[standard, np.arange(d)] = field.one
@@ -123,19 +120,6 @@ class TruncatedAlgebra:
     @property
     def field(self):
         return self.spec.field
-
-    def _locate(self, keys, degs):
-        """Table rows of the monomials with these graded-lex keys and degrees
-        (arrays of one shape); monomials of degree >= N land on the zero row."""
-        rows = np.searchsorted(self._keys, keys)
-        return np.where(degs < self.N, rows, len(self._keys))
-
-    def _terms(self, p: Polynomial):
-        """Keys, degrees and coefficients of the terms of p of degree < N."""
-        terms = [(m, c) for m, c in p.terms.items() if sum(m) < self.N]
-        exps = np.array([m for m, _ in terms], dtype=np.int64).reshape(-1, self.spec.nvars)
-        return (grlex_keys(exps, 2 * self.N), exps.sum(axis=1),
-                as_array([c for _, c in terms], self.field))
 
     def reduce(self, p: Polynomial):
         """Coordinate vector of p in R_N (exact), as an array."""
@@ -166,8 +150,9 @@ class TruncatedAlgebra:
         e + s_j], formed from the nonzero table entries alone and
         scatter-added (duplicate positions add up)."""
         field = self.field
-        keys, degs, coeffs = self._terms(p)
-        rows = self._locate(keys[:, None] + shift_keys, degs[:, None] + shift_degs)  # term x shift
+        box = self.box
+        keys, degs, coeffs = box.terms(p, field)
+        rows = box.locate(keys[:, None] + shift_keys, degs[:, None] + shift_degs)  # term x shift
         # flat positions: np.nonzero of the 3-d mask is an order slower
         mask = self._support[rows]
         t, j, i = np.unravel_index(np.flatnonzero(mask), mask.shape)

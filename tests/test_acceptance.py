@@ -38,6 +38,7 @@ from mfann.mf import (
 )
 from mfann.poly import Polynomial
 from mfann.truncation import build_truncation
+from test_annihilator import derivative, derivative_matrix
 
 F13 = PrimeField(13, 5)
 QQ = Rationals()
@@ -332,7 +333,7 @@ def test_criterion_8_property_suites(criterion_line):
     rng = random.Random(20260823)
     N = 5
     counts = dict.fromkeys(
-        ("syzygy", "direct-sum", "monotonicity", "bound", "oracle"), 0
+        ("syzygy", "direct-sum", "monotonicity", "bound", "jacobian", "oracle"), 0
     )
     ok = True
     for _ in range(200):
@@ -363,6 +364,16 @@ def test_criterion_8_property_suites(criterion_line):
             if not ann.is_subspace_of(truncate_ideal(J_k, algebra)):
                 ok = False
         counts["bound"] += 1
+
+        # phi psi = f I gives the witness (d_i psi, d_i phi, 0) for d_i f
+        zero = Polynomial.zero(mf.spec.field, mf.spec.nvars)
+        gamma = tuple((zero,) * mf.n for _ in range(mf.n))
+        for i in range(mf.spec.nvars):
+            df = derivative(mf.spec.f, i)
+            witness = Witness(df, derivative_matrix(mf.psi, i), derivative_matrix(mf.phi, i), gamma)
+            if not witness.verify(mf) or not ann.contains(algebra.reduce(df)):
+                ok = False
+        counts["jacobian"] += 1
 
     for _ in range(200):
         # oracle equivalence on certified generators of random entries

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,19 @@ def test_field_above_int64_bound_exit_one(capsys):
     code, out, err = run(capsys, "ann", "a-inf-1/phi?n=1", "--field", "fp:2147483659")
     assert code == 1 and out == ""
     assert "2^31" in err
+
+
+@pytest.mark.parametrize("argv", [("ann", "a-inf-1/R/xR", "-N", "2000000"),
+                                  ("ann", "a-inf-1/phi?n=100000000")],
+                         ids=["truncation-order", "entry-degree"])
+def test_oversized_monomial_box_exit_one_at_once(capsys, argv):
+    # R_N, or the witness search for an entry of degree 10^8, needs graded-lex
+    # keys past int64: the monomial box refuses before listing a monomial
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "overflow" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 10
 
 
 def test_malformed_field_flag_exit_one(capsys):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfann import poly
 from mfann.fields import PrimeField, Rationals
 from mfann.poly import (
-    CoefficientSpace,
+    MonomialBox,
     Polynomial,
     grlex_key,
     grlex_keys,
@@ -126,33 +127,37 @@ def rational_polys():
 @pytest.mark.parametrize("strategy", [polys, rational_polys()], ids=["F13", "Q"])
 @settings(max_examples=60)
 @given(data=st.data())
-def test_coefficient_space_multiples_are_products(strategy, data):
+def test_monomial_box_multiples_are_products(strategy, data):
     p, q = data.draw(strategy), data.draw(strategy)
+    box = MonomialBox(2, max(p.degree() + 2, q.degree(), 2) + 1)
     shifts = monomials_upto(2, 2)
-    space = CoefficientSpace(2, [(p, shifts), (q, [(0, 0)])])
-    rows = space.multiples(p, shifts, p.field)
-    assert rows.shape == (len(shifts), space.dim)
+    assert box.monos[:len(shifts)] == shifts  # a prefix of the box
+    rows = box.multiples(p, 2, p.field)
+    assert rows.shape == (len(shifts), box.dim)
     for row, m in zip(rows, shifts):
-        assert np.array_equal(row, space.vector(p * Polynomial.from_monomial(p.field, m), p.field))
+        assert np.array_equal(row, box.vector(p * Polynomial.from_monomial(p.field, m), p.field))
     # coordinates ascend in graded-lex order
-    v = space.vector(q, q.field)
+    v = box.vector(q, q.field)
     assert v[v != 0].tolist() == [c for _m, c in q.sorted_terms(reverse=False)]
 
 
-def test_coefficient_space_rejects_what_it_cannot_hold():
+def test_monomial_box_rejects_what_it_cannot_hold():
     x, y = P("x"), P("y")
-    space = CoefficientSpace(2, [(x, monomials_upto(2, 1))])  # x, then x*y, x^2
-    assert space.vector(P("x^2 + 2*x*y"), F13).tolist() == [0, 2, 1]
-    assert space.vector(y, F13) is None
+    box = MonomialBox(2, 3)  # 1, y, x, y^2, x*y, x^2
+    assert box.vector(P("x^2 + 2*x*y"), F13).tolist() == [0, 0, 0, 0, 2, 1]
+    assert box.vector(P("y^3"), F13) is None
+    assert box.locate(np.array([0]), np.array([3])).tolist() == [box.dim]
     with pytest.raises(ValueError):
-        space.multiples(y, [(0, 0)], F13)
-    # With base 3 the key of x^e is 4e, which wraps in int64: x^(2 + 2^62)
-    # gets the key of x^2, so only the exponent check rules it out.
-    line = CoefficientSpace(1, [(Polynomial.variable(F13, 1, 0), [(0,), (1,)])])
-    assert line.base == 3
+        box.multiples(x, 2, F13)
+    assert box.multiples(y, 1, F13).shape == (3, box.dim)
+    # An exponent past the box forms no key: with base 4 the key of x^e is
+    # 5e, which wraps in int64 for x^(2 + 2^62), but only its degree is read.
+    line = MonomialBox(1, 2)
     huge = Polynomial.variable(F13, 1, 0, power=2 + 2**62)
-    assert line.vector(Polynomial.variable(F13, 1, 0, power=2), F13) is not None
+    assert line.vector(Polynomial.variable(F13, 1, 0), F13) is not None
     assert line.vector(huge, F13) is None
+    with pytest.raises(ValueError):
+        line.multiples(huge, 0, F13)
 
 
 def largest_key_base(k):
@@ -178,8 +183,12 @@ def test_grlex_keys_never_wrap(k):
         grlex_keys(top, base + 1)
 
 
-def test_coefficient_space_rejects_keys_past_int64():
-    y = Polynomial.variable(F13, 3, 1, 60000)
-    x = Polynomial.variable(F13, 3, 0)
+def test_monomial_box_rejects_keys_past_int64(monkeypatch):
+    # three variables below degree 60001 need graded-lex keys beyond int64;
+    # the bound is checked before any monomial is listed
+    def unlisted(*_args):
+        raise AssertionError("listed monomials before checking the key bound")
+
+    monkeypatch.setattr(poly, "monomials_below", unlisted)
     with pytest.raises(ValueError, match="overflow"):
-        CoefficientSpace(3, [(y, [(0, 0, 0)]), (x, [(0, 0, 0)])])
+        MonomialBox(3, 60001)
