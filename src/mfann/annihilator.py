@@ -26,8 +26,7 @@ import numpy as np
 
 from .fields import InvariantError
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
-from .linalg import (Subspace, _dot_sparse, dot, echelon, eliminate, mod, neg, null_space, solve,
-                     zeros)
+from .linalg import Subspace, _dot_sparse, dot, eliminate, mod, neg, solve, zeros
 from .mf import MatrixFactorization, poly_mat_mul
 from .poly import MonomialBox, Polynomial, grlex_key
 from .truncation import build_truncation
@@ -124,8 +123,8 @@ def _system(G, H, n, field):
 
 
 def _truncated_data(mf: MatrixFactorization, N: int):
-    """R_N and constraint rows K (reduced echelon, with their pivots) such
-    that phi*alpha + beta*psi = r*I is solvable in R_N exactly when K r = 0."""
+    """R_N and the Subspace K of constraint rows such that
+    phi*alpha + beta*psi = r*I is solvable in R_N exactly when K.basis r = 0."""
     algebra = build_truncation(mf.spec, N)
     field, n = algebra.field, mf.n
 
@@ -133,16 +132,15 @@ def _truncated_data(mf: MatrixFactorization, N: int):
         return algebra.multiplication_operator(e).T
 
     G = _blocks(list(zip(*mf.phi)), multiples)
-    H, _pivots = echelon(_blocks(mf.psi, multiples), field)
-    _Y, _pivots, K, K_pivots = eliminate(*_system(G, H, n, field), field)
-    return algebra, K, K_pivots
+    H = Subspace.from_vectors(field, n * algebra.dim, _blocks(mf.psi, multiples)).basis
+    return algebra, eliminate(*_system(G, H, n, field), field)[2]
 
 
 def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
     """The subspace {r in R_N : phi*alpha + beta*psi = r*I solvable in R_N}."""
-    algebra, K, pivots = _truncated_data(mf, N)
-    field, d = algebra.field, algebra.dim
-    ann = Subspace.from_vectors(field, d, null_space(K, pivots, d, field))
+    algebra, K = _truncated_data(mf, N)
+    field = algebra.field
+    ann = Subspace.from_vectors(field, algebra.dim, K.complement_functionals())
     # post-check: the solvable set is an ideal of R_N
     for v in range(mf.spec.nvars):
         xv = algebra.multiplication_operator(Polynomial.variable(field, mf.spec.nvars, v))
@@ -157,8 +155,8 @@ def membership_truncated(mf: MatrixFactorization, r: Polynomial, N: int) -> bool
     False certifies r is not in the annihilator over the complete ring;
     True is evidence only.
     """
-    algebra, K, _pivots = _truncated_data(mf, N)
-    return not np.count_nonzero(dot(K, algebra.reduce(r), algebra.field))
+    algebra, K = _truncated_data(mf, N)
+    return not np.count_nonzero(dot(K.basis, algebra.reduce(r), algebra.field))
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +195,14 @@ class _WitnessSearcher:
                             blocks(absorbers, max(top - spec.f.degree(), 0))])
         self.H = blocks(mf.psi, D)  # rows (j, m) = m * psi[j, :]
         # eliminated once, since only the right-hand side E r depends on r
-        self.Y, self.y_pivots, self.K, _K_pivots = eliminate(
-            *_system(self.G, self.H, n, field), field)
+        self.Y, self.y_pivots, self.K = eliminate(*_system(self.G, self.H, n, field), field)
 
     def _matrix(self, coeffs):
         """The polynomial matrix whose entry (i, j) has coefficients
         coeffs[i, j] on the first monomials of the box."""
-        field = self.mf.spec.field
+        spec = self.mf.spec
         return tuple(tuple(
-            Polynomial(field, self.mf.spec.nvars,
-                       {m: field.coerce(c) for m, c in zip(self.box.monos, e)})
+            Polynomial.from_coefficients(spec.field, spec.nvars, self.box.monos, e)
             for e in row) for row in coeffs)
 
     def search(self, r: Polynomial):
@@ -215,7 +211,7 @@ class _WitnessSearcher:
         n = mf.n
         na = len(self.H) // n
         r_vec = self.box.vector(r, field)
-        if np.count_nonzero(dot(self.K, r_vec, field)):
+        if np.count_nonzero(dot(self.K.basis, r_vec, field)):
             return None  # S y = E r is inconsistent
         y = zeros(n * len(self.H), field)  # beta[i][j] at (i, j, m)
         y[self.y_pivots] = dot(self.Y, r_vec, field)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import InvariantError
 from .linalg import Subspace, as_array, solve
-from .poly import MonomialBox, Polynomial, monomials_upto
+from .poly import MonomialBox, Polynomial
 from .truncation import RingSpec, SpecError, TruncatedAlgebra, build_truncation
 
 __all__ = [
@@ -127,7 +127,8 @@ def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
         if current.contains(row):
             continue
         gens.append(algebra.lift(row))
-        current = current + _span_of_multiples(gens[-1:], algebra)
+        current = Subspace.from_vectors(algebra.field, algebra.dim, np.vstack(
+            [current.basis, algebra.multiplication_operator(gens[-1]).T]))
         if current.dim == space.dim:
             break
     return gens
@@ -173,10 +174,8 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
         if not truncate_ideal(ideal, algebra).contains(algebra.reduce(p)):
             return MemberResult("no-certified")
         return MemberResult("undetermined")
-    cofactors = tuple(
-        Polynomial(f, spec.nvars, {m: f.coerce(c) for m, c in zip(box.monos, row)})
-        for row in x.reshape(len(gens), -1)
-    )
+    cofactors = tuple(Polynomial.from_coefficients(f, spec.nvars, box.monos, row)
+                      for row in x.reshape(len(gens), -1))
     # the certificate is checked by polynomial arithmetic, not by the solve
     if sum((h * g for h, g in zip(cofactors, gens)), Polynomial.zero(f, spec.nvars)) != p:
         raise InvariantError("membership cofactors do not reproduce the polynomial")
@@ -202,11 +201,9 @@ def is_m_primary(ideal: IdealSpec, N_max: int) -> MPrimaryResult:
         space = truncate_ideal(ideal, algebra)
         colengths.append(algebra.dim - space.dim)
         if len(colengths) >= 3 and colengths[-1] == colengths[-2] == colengths[-3]:
-            # certificate: every degree-(N-1) monomial reduces into the ideal
-            top = [Polynomial.from_monomial(spec.field, m)
-                   for m in monomials_upto(spec.nvars, N - 1) if sum(m) == N - 1]
-            ok = space.contains(np.vstack([algebra.reduce(m) for m in top]))
-            if ok:
+            # certificate: every degree-(N-1) monomial reduces into the ideal;
+            # the reduction table holds reduce(m) at m's index in the box
+            if space.contains(algebra.table[np.flatnonzero(algebra.box.degs == N - 1)]):
                 return MPrimaryResult("m-primary", colengths[-1], tuple(colengths))
             return MPrimaryResult("undetermined", None, tuple(colengths))
     if all(b > a for a, b in zip(colengths, colengths[1:])):

@@ -7,8 +7,9 @@ reduces its accumulator as often.  Row reduction first clears the rows with a
 single nonzero entry, which need no arithmetic at all, and reduces mod p
 after every pivot step on the rest.  This is the only elimination path:
 `echelon` returns the reduced form and its pivots, `eliminate` is the one
-place that splits one, and `solve` reads it and returns only the solution
-with every free variable zero, which is canonical.
+place that splits one, handing the part that decides solvability back as a
+`Subspace`, and `solve` reads it and returns only the solution with every
+free variable zero, which is canonical.
 
 Over the rationals a matrix is an object array whose nonzero entries are
 `Fraction`s and whose zeros are the Python int 0, an exact rational that
@@ -19,8 +20,9 @@ final division by the pivots builds `Fraction`s, at the nonzero entries.
 Nothing here uses floating point.
 
 `rref`, `kernel`, `solve_affine` and `mat_mul` take and return lists of rows;
-the package itself works on arrays through `echelon`, `null_space`, `solve`
-and `dot`, and `Subspace` holds its basis as an array.
+the package itself works on arrays through `solve`, `dot` and `Subspace`, the
+one form in which a row reduction leaves this module; a null space is its
+`complement_functionals`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 __all__ = [
     "rref", "kernel", "solve_affine", "mat_mul", "Subspace", "eye", "zeros",
-    "as_array", "dot", "mod", "neg", "echelon", "eliminate", "null_space", "solve",
+    "as_array", "dot", "mod", "neg", "echelon", "eliminate", "solve",
 ]
 
 _INT64_MAX = 2**63 - 1
@@ -228,26 +230,17 @@ def _pivot_loop(M, ncols, field):
     return r, pivots
 
 
-def null_space(R, pivots, ncols, field):
-    """Rows spanning {x : R x = 0} for R in reduced echelon form."""
-    free = np.setdiff1d(np.arange(ncols), pivots)
-    out = zeros((free.size, ncols), field)
-    out[np.arange(free.size), free] = field.one
-    if pivots:
-        out[:, pivots] = neg(R[:, free].T, field)
-    return out
-
-
 def eliminate(A, B, field):
-    """(Y, pivots, K, K_pivots): the B columns of the reduced [A | B], in Y
-    from its rows pivoting in A (at `pivots`) and in K from the rest (at
-    K_pivots among B's columns), copied so that [A | B] is freed.  A y = B r
-    is solvable exactly when K r = 0, and then y[pivots] = Y r, with every
-    other entry zero, is its solution with every free variable zero."""
+    """(Y, pivots, K): the B columns of the reduced [A | B], in Y from its
+    rows pivoting in A (at `pivots`) and in the Subspace K of B's
+    coordinates from the rest, copied so that [A | B] is freed.  A y = B r
+    is solvable exactly when K.basis r = 0, and then y[pivots] = Y r, with
+    every other entry zero, is its solution with every free variable zero."""
     w = A.shape[1]
     R, pivots = echelon(np.hstack([A, B]), field)
     k = bisect.bisect_left(pivots, w)
-    return R[:k, w:].copy(), pivots[:k], R[k:, w:].copy(), [q - w for q in pivots[k:]]
+    K = Subspace(field, B.shape[1], R[k:, w:].copy(), [q - w for q in pivots[k:]])
+    return R[:k, w:].copy(), pivots[:k], K
 
 
 def solve(A, b, field):
@@ -255,8 +248,8 @@ def solve(A, b, field):
     inconsistent.  b is a vector, or a matrix with one right-hand side per
     column; then None means that some column is inconsistent."""
     B = b[:, None] if b.ndim == 1 else b
-    Y, pivots, K, _K_pivots = eliminate(A, B, field)
-    if len(K):
+    Y, pivots, K = eliminate(A, B, field)
+    if K.dim:
         return None
     x = zeros((A.shape[1], B.shape[1]), field)
     x[pivots] = Y
@@ -290,9 +283,7 @@ def kernel(rows, field, ncols=None):
     """Basis of the null space {x : A x = 0} for A given by rows."""
     if not rows:
         return [] if ncols is None else eye(field, ncols).tolist()
-    ncols = len(rows[0])
-    R, pivots = echelon(as_array(rows, field), field)
-    return null_space(R, pivots, ncols, field).tolist()
+    return Subspace.from_vectors(field, len(rows[0]), rows).complement_functionals().tolist()
 
 
 def solve_affine(A, b, field):
@@ -359,7 +350,13 @@ class Subspace:
 
     def complement_functionals(self):
         """Rows of a matrix E with kernel exactly this subspace."""
-        return null_space(self.basis, self.pivots, self.ambient, self.field)
+        f, pivots = self.field, self.pivots
+        free = np.setdiff1d(np.arange(self.ambient), pivots)
+        out = zeros((free.size, self.ambient), f)
+        out[np.arange(free.size), free] = f.one
+        if pivots:
+            out[:, pivots] = neg(self.basis[:, free].T, f)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -374,20 +371,14 @@ class Subspace:
     def is_subspace_of(self, other) -> bool:
         return other.contains(self.basis)
 
-    def __add__(self, other):
-        return Subspace.from_vectors(
-            self.field, self.ambient, np.vstack([self.basis, other.basis]))
-
     def intersect(self, other):
         """Zassenhaus intersection: the rows of the reduced [U U; V 0] that
         pivot in its right half span U meet V."""
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        f = self.field
-        _Y, _pivots, K, K_pivots = eliminate(
+        return eliminate(
             np.vstack([self.basis, other.basis]),
-            np.vstack([self.basis, zeros(other.basis.shape, f)]), f)
-        return Subspace(f, self.ambient, K, K_pivots)
+            np.vstack([self.basis, zeros(other.basis.shape, self.field)]), self.field)[2]
 
     def preimage(self, A):
         """{x : A x in self} for A given as ambient x n rows."""
@@ -396,5 +387,5 @@ class Subspace:
         E = self.complement_functionals()
         if not len(E):
             return Subspace.full_space(self.field, n)
-        R, pivots = echelon(dot(E, A, self.field), self.field)
-        return Subspace.from_vectors(self.field, n, null_space(R, pivots, n, self.field))
+        conditions = Subspace.from_vectors(self.field, n, dot(E, A, self.field))
+        return Subspace.from_vectors(self.field, n, conditions.complement_functionals())

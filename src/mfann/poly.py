@@ -92,7 +92,11 @@ class MonomialBox:
     """
 
     def __init__(self, nvars: int, N: int):
-        grlex_keys(np.zeros((0, nvars), dtype=np.int64), 2 * N)  # the key bound
+        try:
+            grlex_keys(np.zeros((0, nvars), dtype=np.int64), 2 * N)  # the key bound
+        except ValueError:
+            raise ValueError(f"monomials of degree < {N} in {nvars} variables "
+                             "overflow int64 keys") from None
         self.nvars, self.N = nvars, N
         self.monos = monomials_below(nvars, N)
         self.dim = len(self.monos)
@@ -162,6 +166,13 @@ class Polynomial:
     @classmethod
     def from_monomial(cls, field, mono, coeff=1):
         return cls(field, len(mono), {tuple(mono): field.coerce(coeff)})
+
+    @classmethod
+    def from_coefficients(cls, field, nvars, monos, coeffs):
+        """The polynomial with coefficient coeffs[i] on monos[i], reading only
+        the nonzero entries of the coefficient array."""
+        return cls(field, nvars,
+                   {monos[i]: field.coerce(coeffs[i]) for i in np.flatnonzero(coeffs)})
 
     # -- queries ------------------------------------------------------
 

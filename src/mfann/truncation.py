@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpecError, field_from_config, field_to_config, json_check, json_item
-from .linalg import echelon, mod, neg, zeros
+from .linalg import Subspace, mod, neg, zeros
 from .poly import MonomialBox, Polynomial, parse_poly
 
 
@@ -102,15 +102,15 @@ class TruncatedAlgebra:
             box.locate(box.keys[:u, None] + f_keys, box.degs[:u, None] + f_degs)] = f_coeffs
         # Columns descending, so row reduction pivots on the largest monomial
         # of each relation and keeps the small monomials standard.
-        reduced, pivots = echelon(rel[:, n - 1::-1], field)
-        pivot_rows = n - 1 - np.array(pivots, dtype=np.int64)
+        relations = Subspace.from_vectors(field, n, rel[:, n - 1::-1])
+        pivot_rows = n - 1 - np.array(relations.pivots, dtype=np.int64)
         standard = np.setdiff1d(np.arange(n), pivot_rows)
         self.basis = [box.monos[i] for i in standard]
         self._basis_keys, self._basis_degs = box.keys[standard], box.degs[standard]
         d = len(standard)
         self.table = zeros((n + 1, d), field)
         self.table[standard, np.arange(d)] = field.one
-        self.table[pivot_rows] = neg(reduced[:, n - 1 - standard], field)
+        self.table[pivot_rows] = neg(relations.basis[:, n - 1 - standard], field)
         self._support = self.table.astype(bool)
 
     @property
@@ -128,13 +128,7 @@ class TruncatedAlgebra:
 
     def lift(self, coords) -> Polynomial:
         """The standard-monomial representative with the given coordinates."""
-        field = self.field
-        terms = {}
-        for m, c in zip(self.basis, coords):
-            c = field.coerce(c)
-            if c != field.zero:
-                terms[m] = c
-        return Polynomial(field, self.spec.nvars, terms)
+        return Polynomial.from_coefficients(self.field, self.spec.nvars, self.basis, coords)
 
     def multiplication_operator(self, p: Polynomial):
         """Matrix of multiplication by p: column j = reduce(p * basis[j]).

@@ -66,16 +66,17 @@ def test_field_above_int64_bound_exit_one(capsys):
     assert "2^31" in err
 
 
-@pytest.mark.parametrize("argv", [("ann", "a-inf-1/R/xR", "-N", "2000000"),
-                                  ("ann", "a-inf-1/phi?n=100000000")],
+@pytest.mark.parametrize("argv, named", [(("ann", "a-inf-1/R/xR", "-N", "2000000"), "2000000"),
+                                         (("ann", "a-inf-1/phi?n=100000000"), "overflow")],
                          ids=["truncation-order", "entry-degree"])
-def test_oversized_monomial_box_exit_one_at_once(capsys, argv):
+def test_oversized_monomial_box_exit_one_at_once(capsys, argv, named):
     # R_N, or the witness search for an entry of degree 10^8, needs graded-lex
-    # keys past int64: the monomial box refuses before listing a monomial
+    # keys past int64: the monomial box refuses before listing a monomial, and
+    # an oversized truncation order is named as the user gave it
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert "overflow" in err and "Traceback" not in err
+    assert "overflow" in err and named in err and "Traceback" not in err
     assert time.perf_counter() - start < 10
 
 

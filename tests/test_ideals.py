@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mfann import ideals
 from mfann.fields import InvariantError, PrimeField
@@ -15,7 +16,9 @@ from mfann.ideals import (
     truncate_ideal,
 )
 from mfann.mf import ring_spec
+from mfann.poly import Polynomial, monomials_upto
 from mfann.truncation import build_truncation
+from test_alexandrov import ideals as random_ideals
 
 F13 = PrimeField(13, 5)
 XXY = ring_spec("d-inf-1", F13)  # k[x, y]/(x^2 y)
@@ -81,6 +84,44 @@ def test_extract_generators_round_trip():
     gens = extract_generators(space, algebra)
     assert truncate_ideal(IdealSpec(XXY, tuple(gens)), algebra) == space
     assert len(gens) == 3
+
+
+def reference_is_m_primary(ideal, N_max):
+    """(status, colength, colengths) of is_m_primary, with the certificate
+    formed from every degree-(N-1) monomial, listed and reduced one by one."""
+    spec = ideal.spec
+    colengths = []
+    for N in range(3, N_max + 1):
+        algebra = build_truncation(spec, N)
+        space = truncate_ideal(ideal, algebra)
+        colengths.append(algebra.dim - space.dim)
+        if len(colengths) >= 3 and colengths[-1] == colengths[-2] == colengths[-3]:
+            top = [algebra.reduce(Polynomial.from_monomial(spec.field, m))
+                   for m in monomials_upto(spec.nvars, N - 1) if sum(m) == N - 1]
+            if space.contains(np.vstack(top)):
+                return "m-primary", colengths[-1], tuple(colengths)
+            return "undetermined", None, tuple(colengths)
+    if all(b > a for a, b in zip(colengths, colengths[1:])):
+        return "not-m-primary-evidence", None, tuple(colengths)
+    return "undetermined", None, tuple(colengths)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_ideals(), st.integers(3, 7))
+def test_extract_generators_round_trip_on_random_ideals(ideal, N):
+    # every generator is the lift of a basis row of the truncation, reduces
+    # back to it, and together they generate the truncation again
+    algebra = build_truncation(ideal.spec, N)
+    space = truncate_ideal(ideal, algebra)
+    gens = extract_generators(space, algebra)
+    assert truncate_ideal(IdealSpec(ideal.spec, tuple(gens)), algebra) == space
+    rows = space.basis.tolist()
+    for g in gens:
+        v = algebra.reduce(g)
+        assert v.tolist() in rows
+        assert algebra.lift(v) == g
+    res = is_m_primary(ideal, N)
+    assert (res.status, res.colength, res.colengths) == reference_is_m_primary(ideal, N)
 
 
 def test_m_primary_cases():

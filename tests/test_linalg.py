@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
 from mfann.linalg import (Subspace, _dot_sparse, as_array, dot, echelon, eliminate, kernel,
-                          mat_mul, null_space, rref, solve, solve_affine, zeros)
+                          mat_mul, rref, solve, solve_affine, zeros)
 
 F13 = PrimeField(13, 5)
 F_BIG = PrimeField(2**31 - 1)
@@ -113,7 +113,7 @@ def test_intersection_dimension_formula(ru, rv):
     V = Subspace.from_vectors(F13, 5, rv)
     W = U.intersect(V)
     assert W.is_subspace_of(U) and W.is_subspace_of(V)
-    assert U.dim + V.dim == (U + V).dim + W.dim
+    assert U.dim + V.dim == Subspace.from_vectors(F13, 5, np.vstack([U.basis, V.basis])).dim + W.dim
 
 
 def test_preimage():
@@ -238,14 +238,15 @@ def test_echelon_of_empty_shapes(field, shape):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_rational_elimination_matches_the_list_reference(data):
-    # echelon, solve with a matrix right-hand side and null_space over Q,
-    # each exactly equal to Gauss-Jordan on lists of Fractions
+    # echelon, solve with a matrix right-hand side and the complement
+    # functionals over Q, each exactly equal to Gauss-Jordan on lists of
+    # Fractions
     A = data.draw(sparse_matrices(QQ, max_cols=8))
     X = data.draw(sparse_matrices(QQ, max_rows=8)).T
     k = min(A.shape[1], X.shape[0])
     A, X = A[:, :k], X[:k]
     R, pivots = echelon(A, QQ)
-    null = null_space(R, pivots, k, QQ)
+    null = Subspace(QQ, k, R, pivots).complement_functionals()
     assert (R.tolist(), pivots) == reference_rref(A.tolist(), QQ)
     B = dot(A, X, QQ)
     if len(B) and data.draw(st.booleans()):
@@ -310,7 +311,7 @@ def test_solve_with_a_matrix_right_hand_side(field, data):
     A, X = A[:, :k], X[:k]
     B = dot(A, X, field)  # every column consistent
     particular = solve(A, B, field)
-    null = null_space(*echelon(A, field), k, field)
+    null = Subspace(field, k, *echelon(A, field)).complement_functionals()
     assert particular.shape == X.shape
     assert np.array_equal(dot(A, particular, field), B)
     for j in range(B.shape[1]):
@@ -337,20 +338,20 @@ def test_eliminate_decides_and_solves(field, data):
     M = data.draw(sparse_matrices(field))
     w = data.draw(st.integers(0, M.shape[1]))
     A, B = M[:, :w], M[:, w:]
-    Y, pivots, K, K_pivots = eliminate(A, B, field)
+    Y, pivots, K = eliminate(A, B, field)
     R_ref, pivots_ref = reference_rref(M.tolist(), field)
     k = sum(q < w for q in pivots_ref)
-    assert K.tolist() == [row[w:] for row in R_ref[k:]]
-    assert K_pivots == [q - w for q in pivots_ref[k:]] and pivots == pivots_ref[:k]
+    assert K.basis.tolist() == [row[w:] for row in R_ref[k:]]
+    assert K.pivots == [q - w for q in pivots_ref[k:]] and pivots == pivots_ref[:k]
     r = as_array([data.draw(st.just(field.zero) | nonzero_elements(field))
                   for _ in range(B.shape[1])], field)
-    if len(K) and data.draw(st.booleans()):
+    if K.dim and data.draw(st.booleans()):
         # a right-hand side with K r = 0
-        null = null_space(K, K_pivots, B.shape[1], field)
+        null = K.complement_functionals()
         r = dot(as_array([data.draw(nonzero_elements(field)) for _ in range(len(null))], field),
                 null, field)
     b = dot(B, r, field)
-    consistent = not np.count_nonzero(dot(K, r, field))
+    consistent = not np.count_nonzero(dot(K.basis, r, field))
     x = solve(A, b, field)
     expected = reference_solve(A, b[:, None], field)
     assert (x is not None) == consistent == (expected is not None)
@@ -359,4 +360,4 @@ def test_eliminate_decides_and_solves(field, data):
         y[pivots] = dot(Y, r, field)
         assert np.array_equal(y, x)
         assert y.tolist() == [row[0] for row in expected[0]]
-    assert_python_entries(Y, K)
+    assert_python_entries(Y, K.basis)
