@@ -10,26 +10,32 @@ two one-sided ways:
 * unsolvability of the truncated system in R_N proves non-membership (a
   global solution would truncate).
 
-The truncated solvable set is itself computable as a subspace of R_N.  The
-key structural fact used throughout: the image of (alpha, beta) |->
-phi*alpha + beta*psi decomposes as "column space in every column plus row
-space in every row", so all solves reduce to small quotient conditions
-instead of one giant dense system.
+The image of (alpha, beta) |-> phi*alpha + beta*psi is "column space in
+every column plus row space in every row", so the system reduces to small
+quotient conditions.  It is moreover graded: `grading` finds the weights
+under which f and the entries are homogeneous, and since m^N is a monomial
+ideal every matrix splits into blocks of one degree each.  They are built
+from the degrees and eliminated as one zero-padded stack; the dense system
+is never formed.  Without a grading there is one block, the whole system.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import InvariantError
+from .fields import InvariantError, Rationals
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
-from .linalg import Subspace, _dot_sparse, dot, eliminate, mod, neg, solve, zeros
+from .linalg import (Subspace, _dot_sparse, _integer_rows, dot, echelon, eliminate, eye, mod,
+                     neg, zeros)
 from .mf import MatrixFactorization, poly_mat_mul
 from .poly import MonomialBox, Polynomial, grlex_key
 from .truncation import build_truncation
+
+QQ = Rationals()
 
 __all__ = [
     "Witness",
@@ -39,6 +45,7 @@ __all__ = [
     "annihilator_truncated",
     "witness_search",
     "annihilate",
+    "grading",
 ]
 
 
@@ -85,55 +92,159 @@ def row_col_bound(mf: MatrixFactorization):
 
 
 # ---------------------------------------------------------------------------
-# the system, over R_N or over exact coefficients
+# the grading, and the system split by degree
 # ---------------------------------------------------------------------------
 
 
-def _blocks(mat, multiples):
-    """Rows b * (row a of mat) over the rows a of the polynomial matrix mat
-    and the multipliers b: block (a, j) is multiples(mat[a][j])."""
-    out = {}
-    for row in mat:
-        for e in row:
-            if e not in out:
-                out[e] = multiples(e)
-    return np.block([[out[e] for e in row] for row in mat])
+@functools.lru_cache(maxsize=256)
+def grading(mf: MatrixFactorization):
+    """The gradings of mf: an integer basis, a row (w, a, b) each, of the
+    rational solutions of: f is w-homogeneous, every term of phi[i][j] has
+    w-degree a_i - b_j and every term of psi[j][k] has w-degree
+    deg f + b_j - a_k, for a weight w per variable.  Since m^N is a
+    monomial ideal, each system below splits by degree under them; without
+    a grading (no row with w nonzero) it is one block."""
+    spec, n = mf.spec, mf.n
+    e0 = next(iter(spec.f.terms))
+    unit = np.eye(n, dtype=int).tolist()
+
+    def condition(e, shift, sign=1):  # w.e - sign * w.e0 + shift . (a, b) = 0
+        return [x - sign * y for x, y in zip(e, e0)] + shift
+
+    rows = [condition(e, [0] * 2 * n) for e in spec.f.terms]
+    for i, j in itertools.product(range(n), repeat=2):
+        rows += [condition(e, [-x for x in unit[i]] + unit[j], 0) for e in mf.phi[i][j].terms]
+        rows += [condition(e, unit[j] + [-x for x in unit[i]]) for e in mf.psi[i][j].terms]
+    kernel = Subspace.from_vectors(QQ, spec.nvars + 2 * n, sorted(set(map(tuple, rows))))
+    kernel = kernel.complement_functionals()
+    return _integer_rows(kernel).astype(np.int64)
 
 
-def _system(G, H, n, field):
-    """(S, E) such that phi*alpha + beta*psi = r*I is solvable exactly when
-    S y = E r is.
+def _weights(mf: MatrixFactorization, top: int):
+    """(w, a, b, deg f) of one grading: the rows of grading(mf) in mixed
+    radix, each radix above twice any degree in its row of a monomial of
+    degree <= top plus a few shifts, so that such degrees agree exactly
+    when their vectors do.  Rows past 2^40 are dropped: coarser, still a
+    grading."""
+    n, v = mf.n, mf.spec.nvars
+    total, scale = np.zeros(v + 2 * n, dtype=np.int64), 1
+    for row in grading(mf):
+        radix = 2 * int(np.abs(row).max()) * (top + mf.spec.f.degree() + 4) + 1
+        if scale * radix > 2**40:
+            break
+        total += scale * row
+        scale *= radix
+    w = total[:v]
+    return w, total[v:v + n], total[v + n:], int(w @ next(iter(mf.spec.f.terms)))
 
-    The rows of G span the columns that phi*alpha can take, and the rows of
-    H those that a row of beta*psi can take, each as n blocks of coordinates.
-    The system asks for rho_i in span H (row i of beta*psi, with y_i its
-    coordinates on the rows of H) such that column J of r*I - (rho_i)_i lies
-    in span G for every J.  With E the complement functionals of span G,
-    in rows (i, k) for block i of functional k, this is
-    E_J r = sum_i E_i rho_i[block J]: S has rows (J, k) and columns (i, t).
+
+def _find(labels, values):
+    """The index of each value in the ascending labels, len(labels) if absent."""
+    at = np.searchsorted(labels, values).clip(max=len(labels) - 1)
+    return np.where(labels[at] == values, at, len(labels))
+
+
+class _Graded:
+    """The blocks of the matrix with rows (g, m), of degree deg m -
+    row_shift[g], columns (i, m'), of degree deg m' - col_shift[i], and
+    entry op(entries[g][i])[m, m'] (None is zero), nonzero only between
+    equal degrees: one block per column degree in `labels`, in `stack`
+    (blocks x groups * width x groups * width) in the original order, and
+    row_at, col_at their places g * count + m, or groups * count for
+    padding."""
+
+    def __init__(self, degrees, entries, op, row_shift, col_shift, field):
+        mats = {}  # op(e) for the distinct keys, from the second operator on
+        for e in itertools.chain(*entries):
+            if e is not None and e not in mats:
+                mats[e] = op(e)
+        height = max((len(m) for m in mats.values()), default=0)  # the rows past it are zero
+        ops = zeros((len(mats) + 1, height + 1, degrees.count + 1), field)
+        for k, m in enumerate(mats.values(), 1):
+            ops[k, :len(m), :m.shape[1]] = m
+        number = {e: k for k, e in enumerate(mats, 1)}
+        index = np.array([[number.get(e, 0) for e in row] for row in entries])
+        self.labels = np.unique(degrees.degs[:, None] - col_shift)
+        rows, cols = (degrees.members[_find(degrees.labels, self.labels[:, None] + shift)]
+                      for shift in (row_shift, col_shift))
+        self.stack = ops[index[:, None, :, None], np.minimum(rows, height)[..., None, None],
+                         cols[:, None, None]].reshape(len(self.labels), rows[0].size, cols[0].size)
+        self.row_at, self.col_at = (np.where(
+            m < degrees.count, np.arange(m.shape[1])[:, None] * degrees.count + m,
+            m.shape[1] * degrees.count).reshape(len(m), m[0].size) for m in (rows, cols))
+
+
+class _System:
+    """The system over monomials (the rows of exps, all of degree <= top:
+    R_N's basis, or a box for exact coefficients), op(e)[m, m'] being the
+    coefficient of m' in e * m for the keys e of the entries, split by the
+    degree of _weights(mf, top): `labels` the degrees, ascending, and
+    members[d] the monomials of degree labels[d], ascending, padded with
+    their count, then a row of padding alone.
+
+    The rows of G, (i', m) = m * phi[:, i'] and any more in G_entries, span
+    the columns that phi*alpha can take; those of H, (j, m) =
+    m * psi[j, :], the rows that beta*psi can take.  The reduced [G^T | I]
+    gives X, whose rows pivoting in G^T (x_pivots, else -1) solve
+    G^T x = c with every free variable zero as X c, and whose other rows E
+    are the complement functionals of span G.  The system asks for rho_i in
+    span H (row i of beta*psi, y_i its coordinates on H's rows, reduced if
+    reduce_rows) with column J of r*I - (rho_i)_i in span G for every J:
+    E_J r = sum_i E_i rho_i[J], rows (J, k), columns (i, t).  A functional
+    of G's block of degree d - a_J meets a row of H's block of degree
+    d + a_i on the monomials of degree d - a_J + a_i alone, so for r of
+    degree d the block of S is one batched product.  [S | E'] is reduced
+    once: Y holds the E' columns of its rows, y_pivots their pivots in S
+    (H's row h[d, i] is column (i, t) of block d), and K is the Subspace of
+    r's coordinates from the rows pivoting in E'.
     """
-    d = G.shape[1] // n
-    E = Subspace.from_vectors(field, n * d, G).complement_functionals()
-    c, h = len(E), len(H)
-    E = E.reshape(c, n, d).transpose(1, 0, 2).reshape(n * c, d)  # row (i, k)
-    H = H.reshape(h, n, d).transpose(1, 0, 2).reshape(n * h, d)  # row (j, t)
-    # E and H are nearly all zeros, so their product skips them.
-    rho = _dot_sparse(E, H.T, field).reshape(n, c, n, h)  # [i, k, j, t]
-    return rho.transpose(2, 1, 0, 3).reshape(n * c, n * h), E
+
+    def __init__(self, mf, exps, top, G_entries, H_entries, op, reduce_rows, field):
+        n = mf.n
+        w, a, b, f_weight = _weights(mf, top)
+        self.count, self.degs = len(exps), exps @ w
+        self.labels, inverse, sizes = np.unique(self.degs, return_inverse=True, return_counts=True)
+        order = np.argsort(inverse, kind="stable")
+        self.members = np.full((len(sizes) + 1, sizes.max()), self.count, dtype=np.intp)
+        self.members[inverse[order], np.arange(self.count) - (np.cumsum(sizes) - sizes)[
+            inverse[order]]] = order
+        # degrees: G's rows (i', m) deg m - b_i', its rows (k, m) = f * m e_k
+        # deg m + deg f - a_k, and H's rows (j, m) deg m + b_j + deg f
+        G = self.G = _Graded(self, G_entries, op, np.r_[b, a - f_weight][:len(G_entries)], a,
+                             field)
+        H = self.H = _Graded(self, H_entries, op, -b - f_weight, -a, field)
+        width = G.stack.shape[2]
+        self.X, self.x_pivots, e_pivots = eliminate(G.stack.transpose(0, 2, 1), np.broadcast_to(
+            eye(field, width), (len(G.stack), width, width)), field)
+        # the functionals at G's padding columns are those unit vectors: zero them
+        E = np.where((e_pivots >= 0)[..., None] & (G.col_at < n * self.count)[:, None], self.X, 0)
+        R = echelon(H.stack, field)[0] if reduce_rows else H.stack
+        g = _find(G.labels, self.labels[:, None] - a)  # [d, J]
+        self.h = _find(H.labels, self.labels[:, None] + a)  # [d, i]
+        U = width // n  # the monomials of one degree, padded
+        E = np.concatenate([E, np.zeros_like(E[:1])])[g].reshape(g.shape + E.shape[1:2] + (n, U))
+        R = np.concatenate([R, np.zeros_like(R[:1])])[self.h].reshape(
+            g.shape + R.shape[1:2] + (n, U))
+        S = dot(E.transpose(0, 1, 3, 2, 4), R.transpose(0, 3, 1, 4, 2), field)  # [d, J, i, k, t]
+        S = S.transpose(0, 1, 3, 2, 4).reshape(len(g), n * E.shape[2], n * R.shape[2])
+        Er = E[:, np.arange(n), :, np.arange(n)].transpose(1, 0, 2, 3).reshape(*S.shape[:2], U)
+        self.Y, self.y_pivots, k_pivots = eliminate(S, Er, field)
+        self.K = Subspace.from_blocks(field, self.count, self.Y, k_pivots, self.members[:-1])
+
+
+def _nonzero(mat, key=lambda e: e):
+    """The keys of the nonzero entries of a polynomial matrix, None for zero."""
+    return [[None if e.is_zero else key(e) for e in row] for row in mat]
 
 
 def _truncated_data(mf: MatrixFactorization, N: int):
     """R_N and the Subspace K of constraint rows such that
     phi*alpha + beta*psi = r*I is solvable in R_N exactly when K.basis r = 0."""
     algebra = build_truncation(mf.spec, N)
-    field, n = algebra.field, mf.n
-
-    def multiples(e):
-        return algebra.multiplication_operator(e).T
-
-    G = _blocks(list(zip(*mf.phi)), multiples)
-    H = Subspace.from_vectors(field, n * algebra.dim, _blocks(mf.psi, multiples)).basis
-    return algebra, eliminate(*_system(G, H, n, field), field)[2]
+    exps = np.array(algebra.basis, dtype=np.int64).reshape(algebra.dim, -1)
+    return algebra, _System(mf, exps, N - 1, _nonzero(zip(*mf.phi)), _nonzero(mf.psi),
+                            lambda e: algebra.multiplication_operator(e).T, True,
+                            algebra.field).K
 
 
 def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
@@ -144,7 +255,7 @@ def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
     # post-check: the solvable set is an ideal of R_N
     for v in range(mf.spec.nvars):
         xv = algebra.multiplication_operator(Polynomial.variable(field, mf.spec.nvars, v))
-        if not ann.contains(dot(ann.basis, xv.T, field)):
+        if not ann.contains(_dot_sparse(ann.basis, xv.T, field)):  # x_v * ann, mostly zeros
             raise InvariantError("truncated annihilator is not an ideal")
     return ann
 
@@ -174,61 +285,68 @@ class _WitnessSearcher:
     degree <= top, where top >= D + (largest entry degree), every product
     has degree <= top, so deg(f*gamma) = deg f + deg gamma bounds gamma by
     top - deg f exactly.  Coefficients live on the MonomialBox of degree
-    <= max(top, deg f), whose prefixes are the alpha and gamma monomials.
-    Each r costs the products K r and Y r and the solve for alpha and gamma.
+    <= max(top, deg f).  Each r costs the block products K r and Y r, then
+    beta*psi and X on the columns of r*I - beta*psi for alpha and gamma.
     """
 
     def __init__(self, mf: MatrixFactorization, D: int, top: int):
         self.mf = mf
         spec = mf.spec
-        field = spec.field
-        n = mf.n
-        self.box = MonomialBox(spec.nvars, max(top, spec.f.degree()) + 1)
-
-        def blocks(mat, degree):
-            return _blocks(mat, lambda e: self.box.multiples(e, degree, field))
-
-        zero = Polynomial.zero(field, spec.nvars)
-        absorbers = [[spec.f if k == j else zero for j in range(n)] for k in range(n)]
-        # rows (i, m) = m * phi[:, i], then (k, m) = f * m e_k
-        self.G = np.vstack([blocks(list(zip(*mf.phi)), D),
-                            blocks(absorbers, max(top - spec.f.degree(), 0))])
-        self.H = blocks(mf.psi, D)  # rows (j, m) = m * psi[j, :]
-        # eliminated once, since only the right-hand side E r depends on r
-        self.Y, self.y_pivots, self.K = eliminate(*_system(self.G, self.H, n, field), field)
+        field, n = spec.field, mf.n
+        box = self.box = MonomialBox(spec.nvars, max(top, spec.f.degree()) + 1)
+        # rows (i', m) = m * phi[:, i'] with deg m <= D, then (k, m) = f * m e_k
+        gamma = max(top - spec.f.degree(), 0)
+        absorbers = [[(spec.f, gamma) if i == k else None for i in range(n)] for k in range(n)]
+        system = self.system = _System(
+            mf, np.array(box.monos, dtype=np.int64).reshape(box.dim, -1), box.N - 1,
+            _nonzero(zip(*mf.phi), lambda e: (e, D)) + absorbers,
+            _nonzero(mf.psi, lambda e: (e, D)), lambda key: box.multiples(*key, field), False,
+            field)
+        # places in y, which holds beta[i][j] at i * n * dim + j * dim + m, and
+        # in x, which holds G's rows (g, m) at g * dim + m; the last for padding
+        size, H = n * n * box.dim, system.H
+        self.y_of_h = np.where(H.row_at[:, None] < n * box.dim,
+                               np.arange(n)[:, None] * n * box.dim + H.row_at[:, None], size)
+        y_of_s = np.concatenate([self.y_of_h, self.y_of_h[:1] * 0 + size])[system.h, np.arange(n)]
+        self.y_at = np.where(system.y_pivots >= 0, np.take_along_axis(
+            y_of_s.reshape(len(y_of_s), y_of_s[0].size), system.y_pivots.clip(0), 1), size)
+        self.x_at = np.where(system.x_pivots >= 0, np.take_along_axis(
+            system.G.row_at, system.x_pivots.clip(0), 1), 2 * n * box.dim)
 
     def _matrix(self, coeffs):
         """The polynomial matrix whose entry (i, j) has coefficients
-        coeffs[i, j] on the first monomials of the box."""
+        coeffs[i, j] on the monomials of the box."""
         spec = self.mf.spec
         return tuple(tuple(
             Polynomial.from_coefficients(spec.field, spec.nvars, self.box.monos, e)
             for e in row) for row in coeffs)
 
     def search(self, r: Polynomial):
-        mf = self.mf
+        mf, system = self.mf, self.system
         field = mf.spec.field
-        n = mf.n
-        na = len(self.H) // n
+        n, dim = mf.n, self.box.dim
         r_vec = self.box.vector(r, field)
-        if np.count_nonzero(dot(self.K.basis, r_vec, field)):
-            return None  # S y = E r is inconsistent
-        y = zeros(n * len(self.H), field)  # beta[i][j] at (i, j, m)
-        y[self.y_pivots] = dot(self.Y, r_vec, field)
-        # column J of r*I - beta*psi, one right-hand side each, expressed in
-        # the rows of G to recover alpha and gamma (x: rows as in G, column J)
-        cols = neg(dot(y.reshape(n, -1), self.H, field), field).reshape(n, n, -1)  # [i, J]
+        if np.count_nonzero(dot(system.K.basis, r_vec, field)):
+            return None  # S y = E' r is inconsistent
+        y = zeros(n * n * dim + 1, field)
+        y[self.y_at] = dot(system.Y, np.append(r_vec, field.zero)[system.members[:-1], None],
+                           field)[..., 0]
+        # r*I - beta*psi, [i, J, m], from beta*psi block by block of H; its
+        # columns J are the right-hand sides of G^T x = c, block by block of G
+        bp = zeros((n, n * dim + 1), field)
+        bp[:, system.H.col_at] = dot(y[self.y_of_h], system.H.stack, field).transpose(1, 0, 2)
+        C = neg(bp[:, :-1].reshape(n, n, dim), field)
         diag = np.arange(n)
-        cols[diag, diag] = mod(cols[diag, diag] + r_vec, field)
-        x = solve(self.G.T, cols.transpose(0, 2, 1).reshape(-1, n), field)
-        if x is None:
+        C[diag, diag] = mod(C[diag, diag] + r_vec, field)
+        C = np.append(C.transpose(1, 0, 2).reshape(n, -1), zeros((n, 1), field), axis=1)
+        x = dot(system.X, C[:, system.G.col_at].transpose(1, 2, 0), field)
+        if np.count_nonzero(x[system.x_pivots < 0]):
             raise InvariantError("the residual of a solved system left the column span")
-        witness = Witness(
-            r,
-            self._matrix(x[:n * na].reshape(n, na, n).transpose(0, 2, 1)),
-            self._matrix(y.reshape(n, n, na)),
-            self._matrix(neg(x[n * na:], field).reshape(n, -1, n).transpose(0, 2, 1)),
-        )
+        out = zeros((2 * n * dim + 1, n), field)
+        out[self.x_at] = x
+        alpha, gamma = out[:-1].reshape(2, n, dim, n).transpose(0, 1, 3, 2)
+        witness = Witness(r, self._matrix(alpha), self._matrix(y[:-1].reshape(n, n, dim)),
+                          self._matrix(neg(gamma, field)))
         if not witness.verify(mf):
             raise InvariantError("recovered witness failed exact verification")
         return witness

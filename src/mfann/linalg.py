@@ -1,33 +1,29 @@
-"""Exact dense linear algebra over a field, on numpy arrays.
+"""Exact linear algebra over a field, on numpy arrays.
 
 Over F_p a matrix is an int64 array with entries in [0, p).  Since p < 2^31,
-a product of two entries stays below 2^62; `dot` splits long sums so that no
-partial sum reaches 2^63 (delayed modular reduction), and `_dot_sparse`
-reduces its accumulator as often.  Row reduction first clears the rows with a
-single nonzero entry, which need no arithmetic at all, and reduces mod p
-after every pivot step on the rest.  This is the only elimination path:
-`echelon` returns the reduced form and its pivots, `eliminate` is the one
-place that splits one, handing the part that decides solvability back as a
-`Subspace`, and `solve` reads it and returns only the solution with every
-free variable zero, which is canonical.
+a product of two entries stays below 2^62, and `dot` sums k of them only
+while k (p - 1)^2 < 2^63 (delayed modular reduction).  Over the rationals it
+is an object array of `Fraction`s whose zeros are the Python int 0, which
+numpy tests, adds and negates at C speed; products skip the zeros, and
+elimination is fraction-free: rows are scaled to integers and only the
+final division by the pivots builds `Fraction`s.  Nothing uses floating
+point.
 
-Over the rationals a matrix is an object array whose nonzero entries are
-`Fraction`s and whose zeros are the Python int 0, an exact rational that
-numpy tests, adds and negates at C speed, so a zero entry costs what an
-integer costs.  Elimination over the rationals is fraction-free: each row
-is scaled to integers, the pivot loop runs on integer rows, and only the
-final division by the pivots builds `Fraction`s, at the nonzero entries.
-Nothing here uses floating point.
-
-`rref`, `kernel`, `solve_affine` and `mat_mul` take and return lists of rows;
-the package itself works on arrays through `solve`, `dot` and `Subspace`, the
-one form in which a row reduction leaves this module; a null space is its
-`complement_functionals`.
+There is one elimination path, on stacks of blocks (blocks x rows x
+columns), a 2-D array being a stack of one: a block-diagonal system is
+reduced without forming it, one pivot loop reducing the same column of
+every block at once.  `echelon` returns the reduced form, `eliminate` the
+one split of it that decides solvability, and `solve` only the solution
+with every free variable zero, which is canonical.  A row reduction leaves
+this module as a `Subspace`; a null space is its `complement_functionals`.
+`rref`, `kernel`, `solve_affine` and `mat_mul` are the same on lists.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -67,43 +63,46 @@ def as_array(rows, field, ncols=None):
 
 
 def dot(A, B, field):
-    """A @ B over the field (B may be a vector)."""
-    k = A.shape[-1]
+    """A @ B over the field: B may be a vector, and A and B stacks of
+    matrices, multiplied block by block as numpy's matmul does."""
     if not field.is_prime:
         return _dot_sparse(A, B, field)
     p = field.p
     step = _INT64_MAX // (p - 1) ** 2
-    if k <= step:
-        return (A @ B) % p
-    out = (A[..., :step] @ B[:step]) % p
-    for s in range(step, k, step):
-        out = (out + (A[..., s:s + step] @ B[s:s + step]) % p) % p
+
+    def part(s):  # the products over inner indices s to s + step
+        return (A[..., s:s + step] @ (B[s:s + step] if B.ndim == 1 else B[..., s:s + step, :])) % p
+
+    out = part(0)
+    for s in range(step, A.shape[-1], step):
+        out = (out + part(s)) % p
     return out
 
 
 def _dot_sparse(A, B, field):
-    # Skip the zeros: one outer product per inner index, over its nonzero rows
-    # and columns.  Object arrays always take this path, since they pay a
-    # Fraction operation per product; callers with mostly-zero int64 operands
-    # call it directly, because numpy has no BLAS for integers.  Over F_p the
-    # accumulator is reduced mod p after every `step` outer products, so that
-    # (p - 1) + step * (p - 1)^2 bounds every partial sum below 2^63.
-    A2 = A.reshape(int(np.prod(A.shape[:-1])), A.shape[-1])
-    B2 = B.reshape(B.shape[0], int(np.prod(B.shape[1:])))
-    out = zeros((A2.shape[0], B2.shape[1]), field)
-    p = field.p if field.is_prime else 0
-    step = (_INT64_MAX - p) // (p - 1) ** 2 if p else None
-    pending = 0
-    nz_a, nz_b = A2.astype(bool), B2.astype(bool)
-    for t in range(A2.shape[1]):
-        rows, cols = np.flatnonzero(nz_a[:, t]), np.flatnonzero(nz_b[t])
-        if rows.size and cols.size:
-            if p and pending == step:
-                out %= p
-                pending = 0
-            out[np.ix_(rows, cols)] += np.outer(A2[rows, t], B2[t, cols])
-            pending += 1
-    return mod(out, field).reshape(A.shape[:-1] + B.shape[1:])
+    """A @ B as `dot` multiplies, from the nonzeros alone: each nonzero
+    A[..., i, t] meets each nonzero B[..., t, j] of its block.  Object
+    arrays take this path, since they pay a Fraction operation per product;
+    over F_p each product is reduced before the sums, which stay below 2^63."""
+    if B.ndim <= 2:  # one B for every row of A
+        shape = A.shape[:-1] + B.shape[1:]
+        A = A.reshape(1, math.prod(A.shape[:-1]), A.shape[-1])
+        B = B.reshape(1, len(B), math.prod(B.shape[1:]))
+    else:
+        shape = A.shape[:-1] + B.shape[-1:]
+        A = A.reshape(math.prod(A.shape[:-2]), *A.shape[-2:])
+        B = B.reshape(len(A), *B.shape[-2:])
+    (_, m, k), n = A.shape, B.shape[2]
+    b, i, t = A.nonzero()
+    bb, tb, j = B.nonzero()  # sorted by block, then row
+    first = np.searchsorted(bb * k + tb, b * k + t)
+    count = np.searchsorted(bb * k + tb, b * k + t, side="right") - first
+    a_at = np.repeat(np.arange(b.size), count)
+    b_at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    out = zeros(len(A) * m * n, field)
+    np.add.at(out, (b[a_at] * m + i[a_at]) * n + j[b_at],
+              mod(A[b, i, t][a_at] * B[bb, tb, j][b_at], field))
+    return mod(out, field).reshape(shape)
 
 
 def mod(A, field):
@@ -116,51 +115,56 @@ def neg(A, field):
 
 
 def echelon(M, field):
-    """Reduced row echelon form (R, pivots) of the 2-D array M, which is left
-    unchanged, with the zero rows dropped.  R depends only on the row space
-    of M.
+    """Reduced row echelon form (R, pivots) of M, which is left unchanged;
+    R depends only on the row space of M.  For a 2-D M, R has the nonzero
+    rows only and pivots is a list.  For a stack, block b of R holds the
+    reduced rows of block b of M, then zero rows, and pivots[b] their
+    pivot columns, then -1.
 
     The rows with a single nonzero entry go first: such a row, in column c,
-    gives the pivot row e_c, and zeroing column c in the other rows may leave
-    new ones.  Only the rows left after that run the pivot loop; over the
-    rationals they run it as integer rows, divided by their pivots at the end.
+    gives the pivot row e_c, and zeroing column c in the other rows of its
+    block may leave new ones.  Only the rows left run the pivot loop.
     """
-    ncols = M.shape[1]
-    units, rest = _clear_unit_rows(M, field)
+    stack = M if M.ndim == 3 else M[None]
+    units, rest, block = _clear_unit_rows(stack)
     if not field.is_prime:
-        rest = _integer_rows(rest)
-    r, loop_pivots = _pivot_loop(rest, ncols, field)
-    loop_pivots = np.array(loop_pivots, dtype=np.intp)
-    loop_rows = rest[:r] if field.is_prime else _divide_by_pivots(rest[:r], loop_pivots)
-    pivots = np.sort(np.concatenate([units, loop_pivots]))
-    R = zeros((pivots.size, ncols), field)
-    R[np.searchsorted(pivots, units), units] = field.one
-    R[np.searchsorted(pivots, loop_pivots)] = loop_rows
-    return R, pivots.tolist()
+        _integer_rows(rest)
+    loop = _pivot_loop(rest, block, len(stack), field)
+    if not field.is_prime:
+        _divide_by_pivots(rest, loop)
+    is_pivot = units.copy()
+    j = (loop >= 0).nonzero()[0]
+    is_pivot[block[j], loop[j]] = True
+    at = np.cumsum(is_pivot, axis=1) - 1  # the row of pivot column c in its block
+    R = zeros((len(stack), is_pivot.sum(axis=1).max(initial=0), stack.shape[2]), field)
+    R[block[j], at[block[j], loop[j]]] = rest[j]
+    b, c = units.nonzero()
+    R[b, at[b, c], c] = field.one
+    pivots = np.full(R.shape[:2], -1, dtype=np.intp)
+    b, c = is_pivot.nonzero()
+    pivots[b, at[b, c]] = c
+    return (R, pivots) if M.ndim == 3 else (R[0], c.tolist())
 
 
-def _clear_unit_rows(M, field):
-    """(units, rest) for the rows of M.
-
-    `units` are the columns, ascending, that hold the only nonzero entry of
-    some row once the columns found before them are zeroed; `rest` is a copy
-    of the rows that stay nonzero, with every column of `units` zeroed.  The
-    row space of M is spanned by the unit vectors at `units` and the rows of
-    `rest`.
-    """
-    nz = M.astype(bool)
-    counts = nz.sum(axis=1)  # nonzeros outside the cleared columns, per row
-    cleared = np.zeros(M.shape[1], dtype=bool)
-    while True:
-        unit = np.flatnonzero(counts == 1)
-        if not unit.size:
-            break
-        cols = np.unique(np.argmax(nz[unit] & ~cleared, axis=1))
-        counts -= nz[:, cols].sum(axis=1)
-        cleared[cols] = True
+def _clear_unit_rows(M):
+    """(units, rest, block) for a stack M: units[b, c] marks the columns of
+    block b holding the only nonzero entry of a row of the block once the
+    columns found before are zeroed; rest copies the rows that stay
+    nonzero, those columns zeroed, and block[i] is the block of rest[i]."""
+    nblocks, nrows, ncols = M.shape
+    nz = M.astype(bool)  # the nonzeros outside the cleared columns
+    counts = nz.sum(axis=2)
+    units = np.zeros((nblocks, ncols), dtype=bool)
+    while (one := (counts == 1).nonzero())[0].size:
+        b, cols = np.divmod(np.unique(one[0] * ncols + nz[one].argmax(axis=1)), ncols)
+        units[b, cols] = True
+        first = _starts(b)
+        counts[b[first]] -= np.add.reduceat(nz[b, :, cols], first, axis=0)
+        nz[b, :, cols] = False
     rest = M[counts > 0]
-    rest[:, cleared] = 0
-    return np.flatnonzero(cleared), rest
+    block = (counts > 0).nonzero()[0]
+    rest[np.s_[:, units[0]] if nblocks == 1 else units[block]] = 0
+    return units, rest, block
 
 
 def _integer_rows(M):
@@ -173,7 +177,7 @@ def _integer_rows(M):
     vals = M[i, j]
     num = np.array([v.numerator for v in vals], dtype=object)
     den = np.array([v.denominator for v in vals], dtype=object)
-    starts = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])  # i ascends
+    starts = _starts(i)  # i ascends
     lengths = np.diff(np.r_[starts, i.size])
     num *= np.repeat(np.lcm.reduceat(den, starts), lengths) // den
     M[i, j] = num // np.repeat(np.gcd.reduceat(num, starts), lengths)
@@ -188,56 +192,85 @@ def _divide_by_pivots(M, pivots):
     return M
 
 
-def _pivot_loop(M, ncols, field):
-    """Reduce the first ncols columns of M in place, one pivot at a time.
+def _pivot_loop(M, block, nblocks, field):
+    """Reduce the rows of M in place, each among the rows of its block
+    (block[i], ascending): column by column, a pivot in every block with an
+    entry there in a row without one, the first such row.  Rows are not
+    moved.  Returns each row's pivot column, -1 for the rows left zero.
 
-    Returns (r, pivots): rows r and below are zero there afterwards.  Over
-    F_p each pivot row is scaled to a leading 1.  Over the rationals M holds
-    integers and stays integral: every other row i with a_i in the pivot
-    column becomes piv * row_i - a_i * row_r, over the whole row, since its
-    earlier non-pivot columns scale too, and is then divided by the gcd of
-    its entries; the pivot rows keep their pivot entries.
+    Over F_p a pivot row is scaled to a leading 1.  Over the rationals M
+    holds integers and stays integral: another row i with a_i in the pivot
+    column becomes piv * row_i - a_i * row_r, over the whole row, then is
+    divided by the gcd of its entries; pivot rows keep their pivot entries.
     """
     p = field.p if field.is_prime else 0
-    nrows = M.shape[0]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = M[r:, c].nonzero()[0]
-        if not nz.size:
+    pivots = np.full(len(M), -1, dtype=np.intp)
+    free = np.ones(len(M), dtype=bool)  # the rows without a pivot
+    left = len(M)
+    slot = np.full(nblocks, -1, dtype=np.intp)  # block -> its pivot's index in r
+    # A column that is zero in every row stays zero: pivot rows are sums of rows.
+    for c in (M != 0).any(axis=0).nonzero()[0]:
+        entries = M[:, c] != 0
+        r = (entries & free).nonzero()[0]
+        if not r.size:
             continue
-        i = r + nz[0]
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        others = M[:, c].nonzero()[0]  # the pivot row too
+        # the rows with an entry in column c in a block with a pivot, the
+        # pivot rows too, which are restored below
+        o = entries.nonzero()[0]
+        single = block[r[0]] == block[r[-1]]
+        if single:
+            r, k = r[0], ...  # one pivot row, which broadcasts
+            if nblocks > 1:
+                o = o[block[o] == block[r]]
+        else:
+            r = r[_starts(block[r])]
+            slot[block[r]] = np.arange(r.size)
+            k = slot[block[o]]
+            slot[block[r]] = -1
+            o, k = o[k >= 0], k[k >= 0]
+        pivots[r] = c
+        free[r] = False
         if p:
-            # Entries left of column c are zero in rows r and below.
-            row = (M[r, c:] * field.inv(int(M[r, c]))) % p
-            if others.size > 1:
-                M[others, c:] = (M[others, c:] - M[others, c, None] * row) % p
-            M[r, c:] = row
-        elif others.size > 1:
-            others = others[others != r]
-            cols = M[r].nonzero()[0]
-            rows = M[others] * M[r, c]
-            rows[:, cols] -= np.outer(M[others, c], M[r, cols])
-            # divide each row by its content (a zero row by 1)
-            M[others] = rows // np.maximum(np.gcd.reduce(rows, axis=1), 1)[:, None]
-        pivots.append(c)
-        r += 1
-    return r, pivots
+            inv = pow(int(M[r, c]), -1, p) if single else np.array(
+                [pow(int(v), -1, p) for v in M[r, c]], dtype=np.int64)[:, None]
+            row = (M[r, c:] * inv) % p
+            # Entries left of column c are zero in the rows without a pivot.
+            M[o, c:] = (M[o, c:] - M[o, c, None] * row[k]) % p
+        else:
+            row = M[r].copy()
+            new = M[o] * row[..., c, None][k] - M[o, c, None] * row[k]
+            M[o] = new // np.maximum(np.gcd.reduce(new, axis=1), 1)[:, None]
+            row = row[..., c:]
+        M[r, c:] = row
+        left -= np.size(r)
+        if not left:
+            break
+    return pivots
+
+
+def _starts(keys):
+    """The indices at which the runs of equal entries of keys begin."""
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return new.nonzero()[0]
 
 
 def eliminate(A, B, field):
-    """(Y, pivots, K): the B columns of the reduced [A | B], in Y from its
-    rows pivoting in A (at `pivots`) and in the Subspace K of B's
-    coordinates from the rest, copied so that [A | B] is freed.  A y = B r
-    is solvable exactly when K.basis r = 0, and then y[pivots] = Y r, with
-    every other entry zero, is its solution with every free variable zero."""
-    w = A.shape[1]
-    R, pivots = echelon(np.hstack([A, B]), field)
+    """Row-reduce [A | B] once and split it at A's last column.
+
+    For 2-D A and B: (Y, pivots, K), the B columns of the reduced [A | B],
+    in Y from its rows pivoting in A (at `pivots`) and in the Subspace K
+    from the rest, copied so that [A | B] is freed.  A y = B r is solvable
+    exactly when K.basis r = 0, and then y[pivots] = Y r, every other entry
+    zero, is its solution with every free variable zero.  For stacks (block
+    b of A beside block b of B): Y has the B columns of every reduced row,
+    and pivots and K, blocks x rows, the pivot column in A and in B of
+    each row, -1 where it has none.
+    """
+    w = A.shape[-1]
+    R, pivots = echelon(np.concatenate([A, B], axis=-1), field)
+    if R.ndim == 3:
+        return R[..., w:], np.where(pivots < w, pivots, -1), np.where(pivots >= w, pivots - w, -1)
     k = bisect.bisect_left(pivots, w)
     K = Subspace(field, B.shape[1], R[k:, w:].copy(), [q - w for q in pivots[k:]])
     return R[:k, w:].copy(), pivots[:k], K
@@ -325,6 +358,21 @@ class Subspace:
         return cls(field, ambient, basis, pivots)
 
     @classmethod
+    def from_blocks(cls, field, ambient, rows, pivots, cols):
+        """The span of reduced rows of the blocks of a block-diagonal matrix:
+        rows (blocks x rows x columns) with pivots (blocks x rows) in block
+        columns, -1 for no row, and cols (blocks x columns) the coordinates
+        of each block's columns, ascending, ambient for none.  The union of
+        the blocks' reduced rows, in pivot order, is the reduced basis."""
+        b, i = np.nonzero(pivots >= 0)
+        at = cols[b, pivots[b, i]]
+        order = np.argsort(at)
+        b, i = b[order], i[order]
+        basis = zeros((b.size, ambient + 1), field)
+        basis[np.arange(b.size)[:, None], cols[b]] = rows[b, i]
+        return cls(field, ambient, basis[:, :ambient], at[order].tolist())
+
+    @classmethod
     def zero_space(cls, field, ambient):
         return cls(field, ambient, zeros((0, ambient), field), [])
 
@@ -338,20 +386,30 @@ class Subspace:
 
     def residual(self, v):
         """v minus its projection onto the basis (zero iff v is contained);
-        for a 2-D v, the residual of every row."""
+        for a 2-D v, the residual of every row.  It is zero at the pivots,
+        so only the other columns are computed."""
         v = as_array(v, self.field)
         if not self.pivots:
             return v
-        return mod(v - dot(v[..., self.pivots], self.basis, self.field), self.field)
+        f, free = self.field, self._free
+        out = zeros(v.shape, f)
+        out[..., free] = mod(v[..., free] - dot(v[..., self.pivots], self.basis[:, free], f), f)
+        return out
 
     def contains(self, v) -> bool:
         """Whether v, or every row of a 2-D v, lies in the subspace."""
         return not np.count_nonzero(self.residual(v))
 
+    @functools.cached_property
+    def _free(self):
+        """The columns without a pivot, ascending."""
+        free = np.ones(self.ambient, dtype=bool)
+        free[self.pivots] = False
+        return free.nonzero()[0]
+
     def complement_functionals(self):
         """Rows of a matrix E with kernel exactly this subspace."""
-        f, pivots = self.field, self.pivots
-        free = np.setdiff1d(np.arange(self.ambient), pivots)
+        f, pivots, free = self.field, self.pivots, self._free
         out = zeros((free.size, self.ambient), f)
         out[np.arange(free.size), free] = f.one
         if pivots:

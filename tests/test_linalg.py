@@ -361,3 +361,27 @@ def test_eliminate_decides_and_solves(field, data):
         assert np.array_equal(y, x)
         assert y.tolist() == [row[0] for row in expected[0]]
     assert_python_entries(Y, K.basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stacked_echelon_and_product_at_the_largest_prime(data):
+    # a stack of blocks is reduced and multiplied block by block, as the
+    # list reference does each block; entries near p make every sum of two
+    # products overflow int64, so each partial sum may hold one product
+    p = F_BIG.p
+    near = st.sampled_from([0, 0, 0, 1, p - 1, p - 2]) | st.integers(0, p - 1)
+    nblocks, rows, cols = (data.draw(st.integers(0, 5)) for _ in range(3))
+    M = np.array(data.draw(st.lists(near, min_size=nblocks * rows * cols,
+                                    max_size=nblocks * rows * cols)),
+                 dtype=np.int64).reshape(nblocks, rows, cols)
+    R, pivots = echelon(M, F_BIG)
+    for b in range(nblocks):
+        R_ref, pivots_ref = reference_rref(M[b].tolist(), F_BIG)
+        assert R[b, :len(R_ref)].tolist() == R_ref and not R[b, len(R_ref):].any()
+        assert pivots[b].tolist() == pivots_ref + [-1] * (len(R[b]) - len(R_ref))
+    X = M.transpose(0, 2, 1)
+    expected = [[[sum(a * c for a, c in zip(row, col)) % p for col in M[b].T.tolist()]
+                 for row in X[b].tolist()] for b in range(nblocks)]
+    assert dot(X, M, F_BIG).tolist() == expected
+    assert _dot_sparse(X, M, F_BIG).tolist() == expected
