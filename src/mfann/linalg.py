@@ -217,7 +217,7 @@ def _pivot_loop(M, block, nblocks, field):
         # the rows with an entry in column c in a block with a pivot, the
         # pivot rows too, which are restored below
         o = entries.nonzero()[0]
-        single = block[r[0]] == block[r[-1]]
+        single = nblocks == 1 or block[r[0]] == block[r[-1]]
         if single:
             r, k = r[0], ...  # one pivot row, which broadcasts
             if nblocks > 1:
@@ -242,7 +242,7 @@ def _pivot_loop(M, block, nblocks, field):
             M[o] = new // np.maximum(np.gcd.reduce(new, axis=1), 1)[:, None]
             row = row[..., c:]
         M[r, c:] = row
-        left -= np.size(r)
+        left -= 1 if single else r.size
         if not left:
             break
     return pivots

@@ -99,10 +99,14 @@ def test_knoerrer_doubles_are_graded():
 
 def test_conjugates_and_inhomogeneous_entries_grade_coarser():
     rng = random.Random(7)
+    trivial = partition(np.zeros((0, 2)), 2)  # one class
+    graded = set()
     for _ in range(40):
         mf = random_mf(rng)  # criterion 8's unimodular conjugates
         ring_id = mf.label[len("random("):].split("/")[0]
         assert coarser(partition(WEIGHTS[ring_id], 2), grading_partition(mf)), mf.label
+        graded.add(grading_partition(mf) == trivial)
+    assert graded == {True, False}  # both coarser gradings and none at all occur
     # phi = [[x, u], [0, -x]] squares to x^2 I for any u; u = y + y^2 forces
     # the weight of y to 0, leaving the x-degree
     spec = catalog("a-inf-1", "R/xR", None, F13).mf.spec
@@ -111,9 +115,6 @@ def test_conjugates_and_inhomogeneous_entries_grade_coarser():
     mf = MatrixFactorization(spec, 2, phi, phi, "inhomogeneous")
     assert validate(mf).ok
     assert grading_partition(mf) == partition([(1, 0)], 2)
-    # a trivial grading: one class
-    assert partition(np.zeros((0, 2)), 2) == {frozenset(
-        m for m in itertools.product(range(10), repeat=2) if sum(m) <= 9)}
 
 
 # ---------------------------------------------------------------------------
