@@ -22,7 +22,6 @@ this module as a `Subspace`; a null space is its `complement_functionals`.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from fractions import Fraction
 
@@ -133,13 +132,14 @@ def echelon(M, field):
     if not field.is_prime:
         _divide_by_pivots(rest, loop)
     is_pivot = units.copy()
-    j = (loop >= 0).nonzero()[0]
-    is_pivot[block[j], loop[j]] = True
+    is_pivot[block[loop >= 0], loop[loop >= 0]] = True
     at = np.cumsum(is_pivot, axis=1) - 1  # the row of pivot column c in its block
-    R = zeros((len(stack), is_pivot.sum(axis=1).max(initial=0), stack.shape[2]), field)
-    R[block[j], at[block[j], loop[j]]] = rest[j]
+    rank = is_pivot.sum(axis=1).max(initial=0)
+    R = zeros((len(stack), rank + 1, stack.shape[2]), field)  # row `rank` takes the zero rows
+    R[block, np.where(loop >= 0, at[block, loop], rank)] = rest
     b, c = units.nonzero()
     R[b, at[b, c], c] = field.one
+    R = R[:, :rank]
     pivots = np.full(R.shape[:2], -1, dtype=np.intp)
     b, c = is_pivot.nonzero()
     pivots[b, at[b, c]] = c
@@ -400,7 +400,7 @@ class Subspace:
         """Whether v, or every row of a 2-D v, lies in the subspace."""
         return not np.count_nonzero(self.residual(v))
 
-    @functools.cached_property
+    @property
     def _free(self):
         """The columns without a pivot, ascending."""
         free = np.ones(self.ambient, dtype=bool)
