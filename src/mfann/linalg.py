@@ -151,19 +151,19 @@ def _clear_unit_rows(M):
     block b holding the only nonzero entry of a row of the block once the
     columns found before are zeroed; rest copies the rows that stay
     nonzero, those columns zeroed, and block[i] is the block of rest[i]."""
-    nblocks, nrows, ncols = M.shape
     nz = M.astype(bool)  # the nonzeros outside the cleared columns
     counts = nz.sum(axis=2)
-    units = np.zeros((nblocks, ncols), dtype=bool)
+    units = np.zeros((len(M), M.shape[2]), dtype=bool)
     while (one := (counts == 1).nonzero())[0].size:
-        b, cols = np.divmod(np.unique(one[0] * ncols + nz[one].argmax(axis=1)), ncols)
-        units[b, cols] = True
-        first = _starts(b)
-        counts[b[first]] -= np.add.reduceat(nz[b, :, cols], first, axis=0)
-        nz[b, :, cols] = False
+        found = np.zeros_like(units)  # this round's columns
+        found[one[0], nz[one].argmax(axis=1)] = True
+        units |= found
+        hit = nz & found[:, None, :]
+        counts -= hit.sum(axis=2)
+        nz ^= hit
     rest = M[counts > 0]
     block = (counts > 0).nonzero()[0]
-    rest[np.s_[:, units[0]] if nblocks == 1 else units[block]] = 0
+    rest[units[block]] = 0
     return units, rest, block
 
 
