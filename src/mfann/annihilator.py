@@ -175,12 +175,12 @@ class _Graded:
 
 
 class _System:
-    """The system over monomials (the rows of exps, all of degree <= top:
-    R_N's basis, or a box for exact coefficients), op(e)[m, m'] being the
-    coefficient of m' in e * m for the keys e of the entries, split by the
-    degree of _weights(mf, top): `labels` the degrees, ascending, and
-    members[d] the monomials of degree labels[d], ascending, padded with
-    their count, then a row of padding alone.
+    """The system over monomials (the rows of exps: R_N's basis, or a box
+    for exact coefficients), op(e)[m, m'] being the coefficient of m' in
+    e * m for the keys e of the entries, split by the degree of
+    _weights(mf, top), top the largest degree in exps: `labels` the
+    degrees, ascending, and members[d] the monomials of degree labels[d],
+    ascending, padded with their count, then a row of padding alone.
 
     The rows of G, (i', m) = m * phi[:, i'] and any more in G_entries, span
     the columns that phi*alpha can take; those of H, (j, m) =
@@ -199,9 +199,9 @@ class _System:
     r's coordinates from the rows pivoting in E'.
     """
 
-    def __init__(self, mf, exps, top, G_entries, H_entries, op, reduce_rows, field):
-        n = mf.n
-        w, a, b, f_weight = _weights(mf, top)
+    def __init__(self, mf, exps, G_entries, H_entries, op, reduce_rows):
+        n, field = mf.n, mf.spec.field
+        w, a, b, f_weight = _weights(mf, int(exps.sum(axis=1).max()))
         self.count, self.degs = len(exps), exps @ w
         self.labels, inverse, sizes = np.unique(self.degs, return_inverse=True, return_counts=True)
         order = np.argsort(inverse, kind="stable")
@@ -237,25 +237,18 @@ def _nonzero(mat, key=lambda e: e):
     return [[None if e.is_zero else key(e) for e in row] for row in mat]
 
 
-def _truncated_data(mf: MatrixFactorization, N: int):
-    """R_N and the Subspace K of constraint rows such that
-    phi*alpha + beta*psi = r*I is solvable in R_N exactly when K.basis r = 0."""
-    algebra = build_truncation(mf.spec, N)
-    exps = np.array(algebra.basis, dtype=np.int64).reshape(algebra.dim, -1)
-    return algebra, _System(mf, exps, N - 1, _nonzero(zip(*mf.phi)), _nonzero(mf.psi),
-                            lambda e: algebra.multiplication_operator(e).T, True,
-                            algebra.field).K
-
-
 def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
-    """The subspace {r in R_N : phi*alpha + beta*psi = r*I solvable in R_N}."""
-    algebra, K = _truncated_data(mf, N)
+    """The subspace {r in R_N : phi*alpha + beta*psi = r*I solvable in R_N}:
+    the kernel of the constraint rows K."""
+    algebra = build_truncation(mf.spec, N)
     field = algebra.field
+    exps = np.array(algebra.basis, dtype=np.int64).reshape(algebra.dim, -1)
+    K = _System(mf, exps, _nonzero(zip(*mf.phi)), _nonzero(mf.psi), algebra.multiples, True).K
     ann = Subspace.from_vectors(field, algebra.dim, K.complement_functionals())
     # post-check: the solvable set is an ideal of R_N
     for v in range(mf.spec.nvars):
-        xv = algebra.multiplication_operator(Polynomial.variable(field, mf.spec.nvars, v))
-        if not ann.contains(_dot_sparse(ann.basis, xv.T, field)):  # x_v * ann, mostly zeros
+        xv = algebra.multiples(Polynomial.variable(field, mf.spec.nvars, v))
+        if not ann.contains(_dot_sparse(ann.basis, xv, field)):  # x_v * ann, mostly zeros
             raise InvariantError("truncated annihilator is not an ideal")
     return ann
 
@@ -266,8 +259,7 @@ def membership_truncated(mf: MatrixFactorization, r: Polynomial, N: int) -> bool
     False certifies r is not in the annihilator over the complete ring;
     True is evidence only.
     """
-    algebra, K = _truncated_data(mf, N)
-    return not np.count_nonzero(dot(K.basis, algebra.reduce(r), algebra.field))
+    return annihilator_truncated(mf, N).contains(build_truncation(mf.spec, N).reduce(r))
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +290,9 @@ class _WitnessSearcher:
         gamma = max(top - spec.f.degree(), 0)
         absorbers = [[(spec.f, gamma) if i == k else None for i in range(n)] for k in range(n)]
         system = self.system = _System(
-            mf, np.array(box.monos, dtype=np.int64).reshape(box.dim, -1), box.N - 1,
+            mf, np.array(box.monos, dtype=np.int64).reshape(box.dim, -1),
             _nonzero(zip(*mf.phi), lambda e: (e, D)) + absorbers,
-            _nonzero(mf.psi, lambda e: (e, D)), lambda key: box.multiples(*key, field), False,
-            field)
+            _nonzero(mf.psi, lambda e: (e, D)), lambda key: box.multiples(*key, field), False)
         # places in y, which holds beta[i][j] at i * n * dim + j * dim + m, and
         # in x, which holds G's rows (g, m) at g * dim + m; the last for padding
         size, H = n * n * box.dim, system.H

@@ -74,7 +74,7 @@ class ParametricIdealFamily:
 
 def _span_of_multiples(polys, algebra: TruncatedAlgebra) -> Subspace:
     """Subspace of R_N spanned by p * b over the given p and basis monomials b."""
-    rows = [algebra.multiplication_operator(p).T for p in polys]
+    rows = [algebra.multiples(p) for p in polys]
     return Subspace.from_vectors(algebra.field, algebra.dim, np.vstack(rows) if rows else [])
 
 
@@ -128,7 +128,7 @@ def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
             continue
         gens.append(algebra.lift(row))
         current = Subspace.from_vectors(algebra.field, algebra.dim, np.vstack(
-            [current.basis, algebra.multiplication_operator(gens[-1]).T]))
+            [current.basis, algebra.multiples(gens[-1])]))
         if current.dim == space.dim:
             break
     return gens

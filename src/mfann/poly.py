@@ -109,7 +109,10 @@ class MonomialBox:
         return np.where(degs < self.N, np.searchsorted(self.keys, keys), self.dim)
 
     def terms(self, p, field):
-        """Keys, degrees and coefficients of the terms of p of degree < N."""
+        """Keys, degrees and coefficients of the terms of p of degree < N;
+        SpecError if p is not a polynomial in nvars variables over field."""
+        if p.field != field or p.nvars != self.nvars:
+            raise SpecError("polynomial not over the ring of its coefficient space")
         terms = [(m, c) for m, c in p.terms.items() if sum(m) < self.N]
         exps = np.array([m for m, _ in terms], dtype=np.int64).reshape(-1, self.nvars)
         return (grlex_keys(exps, 2 * self.N), exps.sum(axis=1),

@@ -130,13 +130,13 @@ class TruncatedAlgebra:
         """The standard-monomial representative with the given coordinates."""
         return Polynomial.from_coefficients(self.field, self.spec.nvars, self.basis, coords)
 
-    def multiplication_operator(self, p: Polynomial):
-        """Matrix of multiplication by p: column j = reduce(p * basis[j]).
+    def multiples(self, p: Polynomial):
+        """Rows j = reduce(p * basis[j]), the multiples that span the ideal
+        (p) of R_N, laid out as MonomialBox.multiples lays out its rows.
 
-        Its transpose lists the multiples p * basis[j] as rows, which is how
-        ideals are spanned.
+        The transpose is the matrix of multiplication by p.
         """
-        return self._shifted_sum(p, self._basis_keys, self._basis_degs).T
+        return self._shifted_sum(p, self._basis_keys, self._basis_degs)
 
     def _shifted_sum(self, p: Polynomial, shift_keys, shift_degs):
         """Rows j = reduce(p * x^s_j) for the monomials s_j of the given keys
@@ -156,12 +156,6 @@ class TruncatedAlgebra:
         out = zeros((len(shift_keys), self.dim), field)
         np.add.at(out, (j, i), vals)
         return mod(out, field)
-
-    def project_from(self, other: "TruncatedAlgebra", coords):
-        """Image in self of an element of a finer truncation of the same ring."""
-        if other.spec != self.spec or other.N < self.N:
-            raise SpecError("not a projection between compatible truncations")
-        return self.reduce(other.lift(coords))
 
 
 @functools.lru_cache(maxsize=128)

@@ -175,7 +175,7 @@ def test_truncate_ideal_memo_matches_direct_span(ideal, N, data):
     permuted = IdealSpec(XX, tuple(data.draw(st.permutations(ideal.generators))))
     for level in (N, N + 1):
         algebra = build_truncation(XX, level)
-        rows = [algebra.multiplication_operator(g).T for g in ideal.generators]
+        rows = [algebra.multiples(g) for g in ideal.generators]
         direct = Subspace.from_vectors(F13, algebra.dim, np.vstack(rows) if rows else [])
         first = truncate_ideal(ideal, algebra)
         assert first == direct and first.ambient == algebra.dim == 2 * level - 1

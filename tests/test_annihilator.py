@@ -19,11 +19,11 @@ from mfann.annihilator import (
     row_col_bound,
     witness_search,
 )
-from mfann.fields import PrimeField, Rationals
+from mfann.fields import PrimeField, Rationals, SpecError
 from mfann.ideals import truncate_ideal
 from mfann.linalg import Subspace
 from mfann.mf import catalog, catalog_labels, ring_spec, swap
-from mfann.poly import Polynomial
+from mfann.poly import Polynomial, parse_poly
 from mfann.truncation import build_truncation
 from test_linalg import reference_rref
 
@@ -180,6 +180,27 @@ def test_membership_truncated():
         assert membership_truncated(mf, mf.spec.poly("x^2"), N)
 
 
+def foreign_polynomials(spec):
+    """x + 13y over F_17, which read mod 13 is x, and a polynomial in one
+    variable too many: neither lies in the ring of the catalog over F13."""
+    return (parse_poly("x + 13*y", spec.variables, PrimeField(17)),
+            parse_poly("x + y + w", spec.variables + ("w",), F13))
+
+
+def test_membership_truncated_rejects_another_ring():
+    mf = catalog("a-inf-1", "R/xR", None, F13).mf
+    for r in foreign_polynomials(mf.spec):
+        with pytest.raises(SpecError, match="not over the ring"):
+            membership_truncated(mf, r, 6)
+
+
+def test_witness_search_rejects_another_ring():
+    mf = catalog("a-inf-1", "R/xR", None, F13).mf
+    for r in foreign_polynomials(mf.spec):
+        with pytest.raises(SpecError, match="not over the ring"):
+            witness_search(mf, r, 1)
+
+
 def test_annihilate_status_certified_exact():
     entry = catalog("a-inf-1", "phi", 2, F13)
     res = annihilate(entry.mf, N=8, D=3)
@@ -211,7 +232,7 @@ def test_truncation_monotonicity():
     up = annihilator_truncated(mf, 8)
     down = annihilator_truncated(mf, 7)
     for row in up.basis:
-        assert down.contains(small.project_from(big, row))
+        assert down.contains(small.reduce(big.lift(row)))
 
 
 @pytest.mark.parametrize("field", [F13, QQ], ids=["F13", "Q"])

@@ -195,6 +195,57 @@ def test_reproduce_reduced_and_deterministic(tmp_path, capsys):
     }
 
 
+def stub_reproduce(monkeypatch, cm0=None, properties=None):
+    """Reduce reproduce-paper to its a-inf-1/cm0 section and the property
+    checks: every ring section passes at once.  cm0 and properties, if
+    given, replace the cm0 verdict and the property checks; the scales cm0
+    is asked at are returned."""
+    from mfann import cli
+
+    scales, topology = [], cli._topology_payload
+
+    def payload(ring_id, field, N, n_max, D, subfamily):
+        if subfamily == "all":
+            return {"verdict": "compact"}, True
+        scales.append((N, n_max))
+        if cm0 is None:
+            return topology(ring_id, field, N, n_max, D, subfamily)
+        return {"verdict": cm0}, cm0 != "undetermined"
+
+    monkeypatch.setattr(cli, "_validate_payload", lambda *_args: ([], True))
+    monkeypatch.setattr(cli, "_ann_payload", lambda *_args: ({}, True))
+    monkeypatch.setattr(cli, "_topology_payload", payload)
+    if properties is not None:
+        monkeypatch.setattr(cli, "_property_payload", lambda _field: list(properties))
+    return scales
+
+
+@pytest.mark.parametrize("N, n_max, scale", [
+    ("10", "5", (8, 6)), ("6", "2", (6, 6)), ("10", "9", (9, 9))])
+def test_reproduce_scales_cm0_with_n_max(capsys, monkeypatch, N, n_max, scale):
+    # y^n vanishes in R_N once n >= N: the chain descends strictly up to n = N
+    scales = stub_reproduce(monkeypatch)
+    code, out, _ = run(capsys, "reproduce-paper", "-N", N, "--n-max", n_max)
+    report = json.loads(out)
+    assert scales == [scale]
+    assert report["subfamilies"]["a-inf-1/cm0"]["verdict"] == "not-compact-evidence"
+    assert code == 0 and report["pass"] is True and "first_diff" not in report
+
+
+@pytest.mark.parametrize("cm0, properties, first_diff", [
+    ("undetermined", [], "a-inf-1/cm0: topology verdict undetermined"),
+    ("compact", [], "a-inf-1/cm0: topology verdict compact"),
+    ("not-compact-evidence", [{"property": "syzygy-invariance", "label": "a-inf-1/R/xR",
+                               "ok": False}], "a-inf-1/R/xR: syzygy-invariance failed"),
+])
+def test_reproduce_names_every_failing_section(capsys, monkeypatch, cm0, properties,
+                                               first_diff):
+    stub_reproduce(monkeypatch, cm0, properties)
+    code, out, _ = run(capsys, "reproduce-paper", "-N", "6", "--n-max", "2")
+    report = json.loads(out)
+    assert code == 2 and report["pass"] is False and report["first_diff"] == first_diff
+
+
 def test_validate_selector_reports_violation(capsys, monkeypatch):
     from mfann import cli
     from mfann.mf import ValidationReport

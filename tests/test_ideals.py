@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfann import ideals
-from mfann.fields import InvariantError, PrimeField
+from mfann.fields import InvariantError, PrimeField, SpecError
 from mfann.ideals import (
     IdealSpec,
     ParametricIdealFamily,
@@ -16,7 +16,7 @@ from mfann.ideals import (
     truncate_ideal,
 )
 from mfann.mf import ring_spec
-from mfann.poly import Polynomial, monomials_upto
+from mfann.poly import Polynomial, monomials_upto, parse_poly
 from mfann.truncation import build_truncation
 from test_alexandrov import ideals as random_ideals
 
@@ -172,6 +172,13 @@ def test_ideal_spec_validation():
         IdealSpec(XX, (XX.poly("0"),))
     with pytest.raises(Exception):
         truncate_ideal(I(XX, "x"), build_truncation(XXY, 5))
+
+
+def test_member_rejects_a_polynomial_over_another_ring():
+    for p in (parse_poly("x + 13*y", ("x", "y"), PrimeField(17)),
+              parse_poly("x + y + z", ("x", "y", "z"), F13)):
+        with pytest.raises(SpecError, match="not over the ring"):
+            member(p, I(XX, "x"), N=6, D=2)
 
 
 def test_member_rejects_exponents_past_int64_keys():

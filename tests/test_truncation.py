@@ -111,7 +111,7 @@ def test_reduce_is_linear_and_multiplicative_mod_relations():
     algebra = build_truncation(spec, 6)
     p, q = spec.poly("x + y^2"), spec.poly("x*y - 3")
     pv = algebra.reduce(p * q)
-    qv = algebra.multiplication_operator(p) @ algebra.reduce(q) % 13
+    qv = algebra.multiples(p).T @ algebra.reduce(q) % 13
     assert pv.tolist() == qv.tolist()
     assert algebra.reduce(p + q).tolist() == ((algebra.reduce(p) + algebra.reduce(q)) % 13).tolist()
 
@@ -120,7 +120,7 @@ def test_multiplication_operator_columns():
     spec = ring(("x", "y"), "x^2")
     algebra = build_truncation(spec, 4)
     p = spec.poly("x + y")
-    M = algebra.multiplication_operator(p)
+    M = algebra.multiples(p).T  # the matrix of multiplication by p
     for j, b in enumerate(algebra.basis):
         col = [M[i][j] for i in range(algebra.dim)]
         direct = algebra.reduce(p * Polynomial.from_monomial(F13, b))
@@ -132,7 +132,18 @@ def test_projection_compatibility():
     big = build_truncation(spec, 7)
     small = build_truncation(spec, 5)
     p = spec.poly("1 + x*y + y^4 + y^6")
-    assert small.project_from(big, big.reduce(p)).tolist() == small.reduce(p).tolist()
+    assert small.reduce(big.lift(big.reduce(p))).tolist() == small.reduce(p).tolist()
+
+
+def test_reduce_rejects_a_polynomial_over_another_ring():
+    algebra = build_truncation(ring(("x", "y"), "x^2"), 5)
+    # read mod 13, x + 13y over F_17 would be x
+    for p in (parse_poly("x + 13*y", ("x", "y"), PrimeField(17)),
+              parse_poly("x + y + z", ("x", "y", "z"), F13)):
+        with pytest.raises(SpecError, match="not over the ring"):
+            algebra.reduce(p)
+        with pytest.raises(SpecError, match="not over the ring"):
+            algebra.multiples(p)
 
 
 def test_spec_validation():
@@ -196,22 +207,26 @@ def test_multiplication_operator_is_a_ring_map(name, data):
     field = FIELDS[name]
     algebra, c, p, q = data.draw(operands(field))
     d, nvars = algebra.dim, algebra.spec.nvars
-    Mp = exact(algebra.multiplication_operator(p), field)
-    Mq = exact(algebra.multiplication_operator(q), field)
+
+    def operator(x):  # the matrix of multiplication by x
+        return algebra.multiples(x).T
+
+    Mp = exact(operator(p), field)
+    Mq = exact(operator(q), field)
     assert Mp.shape == (d, d)
-    assert same(algebra.multiplication_operator(Polynomial.one(field, nvars)),
+    assert same(operator(Polynomial.one(field, nvars)),
                 np.eye(d, dtype=np.int64), field)
-    assert same(algebra.multiplication_operator(Polynomial.zero(field, nvars)),
+    assert same(operator(Polynomial.zero(field, nvars)),
                 np.zeros((d, d), dtype=np.int64), field)
     cp = Polynomial.constant(field, nvars, c) * p
-    assert same(algebra.multiplication_operator(cp), c * Mp, field)
-    assert same(algebra.multiplication_operator(p + q), Mp + Mq, field)
-    assert same(algebra.multiplication_operator(p * q), Mp @ Mq, field)
+    assert same(operator(cp), c * Mp, field)
+    assert same(operator(p + q), Mp + Mq, field)
+    assert same(operator(p * q), Mp @ Mq, field)
     assert same(Mp @ exact(algebra.reduce(q), field), algebra.reduce(p * q), field)
     assert same(Mp[:, 0], algebra.reduce(p), field)  # basis[0] is the monomial 1
     # f p is zero in R_N, though each term of f times a term of p is not
     fp = algebra.spec.f * p
-    assert same(algebra.multiplication_operator(fp), np.zeros((d, d), dtype=np.int64), field)
+    assert same(operator(fp), np.zeros((d, d), dtype=np.int64), field)
     assert same(algebra.reduce(fp), np.zeros(d, dtype=np.int64), field)
 
 
@@ -222,13 +237,13 @@ def test_results_never_alias_the_table(name):
     algebra = build_truncation(spec, 5)
     table = algebra.table.copy()
     p = spec.poly("x + y^2 + 1")
-    M, v = algebra.multiplication_operator(p), algebra.reduce(p)
+    M, v = algebra.multiples(p), algebra.reduce(p)
     expected_M, expected_v = M.copy(), v.copy()
     for x in (spec.poly("1"), spec.poly("y"), p):
-        algebra.multiplication_operator(x)[:] = field.coerce(7)
+        algebra.multiples(x)[:] = field.coerce(7)
         algebra.reduce(x)[:] = field.coerce(7)
     M[:] = field.coerce(7)
     v[:] = field.coerce(7)
     assert np.array_equal(algebra.table, table)
-    assert np.array_equal(algebra.multiplication_operator(p), expected_M)
+    assert np.array_equal(algebra.multiples(p), expected_M)
     assert np.array_equal(algebra.reduce(p), expected_v)
