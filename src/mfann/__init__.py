@@ -41,6 +41,6 @@ from .alexandrov import (
     build_preorder,
     compactness_verdict,
 )
-from .families import EXPECTED_VERDICTS, build_family, family_layout
+from .families import EXPECTED_VERDICTS, build_family
 
 __version__ = "0.1.0"

@@ -302,17 +302,23 @@ def _int_at_least(low):
     return parse
 
 
-def _add_common(p, n_max_default=5):
+def _add_common(p, *reads):
+    """--field, --out, --format and the flags of the settings in reads; an
+    unread setting takes no flag, but keeps its default in the config."""
     p.add_argument("--field", default="fp:13", help="fp:P or q (default fp:13)")
-    p.add_argument("--trunc", "-N", type=_int_at_least(1), default=10, metavar="N",
-                   help="truncation level (default 10)")
-    p.add_argument("--witness-degree", "-D", type=_int_at_least(0), default=None, metavar="D",
-                   help="witness degree bound (default: for ann and reproduce-paper n+2 "
-                        "per parametric entry and 3 otherwise; 4 for topology, 3 for double)")
-    p.add_argument("--n-max", type=_int_at_least(1), default=n_max_default, metavar="K",
-                   help="largest parameter value for parametric entries")
+    if "trunc" in reads:
+        p.add_argument("--trunc", "-N", type=_int_at_least(1), metavar="N",
+                       help="truncation level (default 10)")
+    if "witness_degree" in reads:
+        p.add_argument("--witness-degree", "-D", type=_int_at_least(0), metavar="D",
+                       help="witness degree bound (default: for ann and reproduce-paper n+2 "
+                            "per parametric entry and 3 otherwise; 4 for topology, 3 for double)")
+    if "n_max" in reads:
+        p.add_argument("--n-max", type=_int_at_least(1), metavar="K",
+                       help="largest parameter value for parametric entries")
     p.add_argument("--out", default=None, metavar="FILE", help="write report to FILE")
     p.add_argument("--format", choices=("json", "text"), default="json")
+    p.set_defaults(trunc=10, witness_degree=None, n_max=5)
 
 
 def build_parser():
@@ -327,28 +333,28 @@ def build_parser():
                    help="ring id or ring/label[?n=K] selector")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="validate a matrix factorization from a JSON file")
-    _add_common(p)
+    _add_common(p, "n_max")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("ann", help="compute one annihilator with certificates")
     p.add_argument("selector", help="ring/label[?n=K] selector")
-    _add_common(p)
+    _add_common(p, "trunc", "witness_degree")
     p.set_defaults(func=cmd_ann)
 
     p = sub.add_parser("topology", help="compactness verdict for a module family")
     p.add_argument("ring", choices=RING_IDS)
     p.add_argument("--subfamily", choices=("all", "cm0"), default="all")
-    _add_common(p)
+    _add_common(p, "trunc", "witness_degree", "n_max")
     p.set_defaults(func=cmd_topology)
 
     p = sub.add_parser("double", help="form the doubled factorization over f + t^2")
     p.add_argument("selector", help="ring/label[?n=K] selector")
-    _add_common(p)
+    _add_common(p, "trunc", "witness_degree")
     p.set_defaults(func=cmd_double)
 
     p = sub.add_parser("reproduce-paper",
                        help="full catalog run: validation, tables, verdicts")
-    _add_common(p)
+    _add_common(p, "trunc", "witness_degree", "n_max")
     p.set_defaults(func=cmd_reproduce_paper)
 
     return parser

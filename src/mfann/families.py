@@ -1,16 +1,17 @@
 """Standard module families for the four countable-type rings.
 
-Builds AnnFamily inputs for the compactness layer from the catalog's
-expected annihilators.
+Builds AnnFamily inputs for the compactness layer straight from the rows of
+the catalog table: only the members' annihilators and locally-free flags are
+read, no matrix is parsed.
 """
 
 from __future__ import annotations
 
 from .alexandrov import AnnFamily
 from .ideals import IdealSpec, ParametricIdealFamily
-from .mf import CatalogError, catalog, catalog_table, ring_spec
+from .mf import CatalogError, catalog_table, ring_spec
 
-__all__ = ["family_layout", "build_family"]
+__all__ = ["build_family"]
 
 # expected verdict and witness for the full lcm family of each ring
 EXPECTED_VERDICTS = {
@@ -21,26 +22,6 @@ EXPECTED_VERDICTS = {
 }
 
 
-def family_layout(ring_id: str):
-    """(finite labels, parametric: label -> (fixed gens, tail base, offset,
-    limit gens)), read off the catalog table.
-
-    The finite labels are the non-parametric ones.  A parametric entry's
-    annihilator generators in n give the tail base^(n+offset); the others
-    are both the fixed generators and the limit of the family.
-    """
-    finite, parametric = [], {}
-    for label, (is_parametric, _phi, _psi, ann, _free) in catalog_table(ring_id).items():
-        if not is_parametric:
-            finite.append(label)
-            continue
-        fixed = [g for g in ann if "{" not in g]
-        (tail,) = [g for g in ann if "{" in g]
-        base, offset = tail.format(n=0, n1=1).split("^")
-        parametric[label] = (fixed, base, int(offset), list(fixed))
-    return finite, parametric
-
-
 def build_family(
     ring_id: str,
     field=None,
@@ -48,37 +29,34 @@ def build_family(
     subfamily: str = "all",
     D: int = 4,
 ) -> AnnFamily:
-    """AnnFamily for a ring.
+    """AnnFamily for a ring, one member per catalog row.
 
-    subfamily 'cm0' restricts to the members locally free on the punctured
-    spectrum (the cok phi_n of the A-type dimension-one ring).  D is unused:
-    it only served the deleted computed-annihilator path, and is still
-    accepted so that callers passing it keep working.
+    A finite row's member is its annihilator.  A parametric row's annihilator
+    has one generator in n, its tail base^(n+offset); the others are both the
+    fixed generators and the limit of the family.  subfamily 'cm0' keeps the
+    members locally free on the punctured spectrum (the cok phi_n of the
+    A-type dimension-one ring).  D is unused, and still accepted so that
+    callers passing it keep working.
     """
     spec = ring_spec(ring_id, field)
-    finite_labels, parametric_defs = family_layout(ring_id)
-
-    if subfamily == "cm0":
-        finite_labels = [
-            lab for lab in finite_labels
-            if catalog(ring_id, lab, None, field).locally_free_on_punctured_spectrum
-        ]
-        parametric_defs = {
-            lab: data for lab, data in parametric_defs.items()
-            if catalog(ring_id, lab, 1, field).locally_free_on_punctured_spectrum
-        }
-        if not finite_labels and not parametric_defs:
-            raise CatalogError(f"ring {ring_id} has no cm0 members in the catalog")
-    elif subfamily != "all":
+    if subfamily not in ("all", "cm0"):
         raise CatalogError(f"unknown subfamily {subfamily!r}")
-
-    members = [(lab, catalog(ring_id, lab, None, field).expected_annihilator)
-               for lab in finite_labels]
-
-    parametric = []
-    for lab, (fixed, tail, offset, limit) in parametric_defs.items():
-        fam = ParametricIdealFamily(
-            spec, tuple(spec.poly(g) for g in fixed), spec.poly(tail), offset)
-        parametric.append((lab, fam, IdealSpec.from_strings(spec, limit)))
-
+    members, parametric = [], []
+    for label, (is_parametric, phi, psi, ann, locally_free) in catalog_table(ring_id).items():
+        if "{i}" in phi + psi and spec.field.imaginary_unit is None:
+            raise CatalogError("this catalog entry needs a square root of -1; "
+                               "the configured field has none")
+        if subfamily == "cm0" and not locally_free:
+            continue
+        # the generators free of n: all of a finite row's
+        fixed = IdealSpec.from_strings(spec, [g for g in ann if "{" not in g])
+        if not is_parametric:
+            members.append((label, fixed))
+            continue
+        (tail,) = [g for g in ann if "{" in g]
+        base, offset = tail.format(n=0, n1=1).split("^")
+        parametric.append((label, ParametricIdealFamily(
+            spec, fixed.generators, spec.poly(base), int(offset)), fixed))
+    if not members and not parametric:
+        raise CatalogError(f"ring {ring_id} has no cm0 members in the catalog")
     return AnnFamily(spec, tuple(members), tuple(parametric), N)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import InvariantError
-from .linalg import Subspace, as_array, solve
-from .poly import MonomialBox, Polynomial
+from .linalg import Subspace, as_array, solve, zeros
+from .poly import Polynomial, monomials_upto
 from .truncation import RingSpec, SpecError, TruncatedAlgebra, build_truncation
 
 __all__ = [
@@ -162,19 +162,34 @@ def member(p: Polynomial, ideal: IdealSpec, N: int, D: int) -> MemberResult:
         k = gens.index(p)
         return MemberResult("yes-certified", tuple(
             Polynomial.constant(f, spec.nvars, int(i == k)) for i in range(len(gens))))
-    # one unknown per (generator, monomial) cofactor coefficient, one
-    # equation per monomial of the box, which holds every sum h_i g_i + h_0 f
-    box = MonomialBox(spec.nvars, max(D, 0) + max(g.degree() for g in gens) + 1)
-    b = box.vector(p, f)
-    # p leaving the box is no combination in the window: the truncation decides
-    x = None if b is None else solve(np.vstack([box.multiples(g, D, f) for g in gens]).T, b, f)
+    # [A | b] with p in b: one unknown per coefficient of a multiplier m of
+    # degree <= D, generator-major, graded-lex; one row per monomial reached
+    if p.field != f or p.nvars != spec.nvars:
+        raise SpecError("polynomial not over the ring of the ideal")
+    window = monomials_upto(spec.nvars, D)
+    w, exps, cols, vals = len(window), [], [], []
+    multipliers = np.array(window, dtype=np.int64).reshape(w, 1, spec.nvars)
+    one = np.zeros((1, 1, spec.nvars), dtype=np.int64)
+    reach = max(D, 0) + max(g.degree() for g in gens)  # the largest degree of a product
+    for i, (q, shifts) in enumerate([(g, multipliers) for g in gens]
+                                    + [(p.truncate(reach + 1), one)]):
+        # the terms of m * q, [m, term], in column i * w + m
+        e = np.array(list(q.terms), dtype=np.int64).reshape(-1, spec.nvars)
+        exps.append((shifts + e).reshape(-1, spec.nvars))
+        cols.append(np.repeat(i * w + np.arange(len(shifts)), len(e)))
+        vals.append(np.tile(as_array(list(q.terms.values()), f), len(shifts)))
+    monos, at = np.unique(np.concatenate(exps), axis=0, return_inverse=True)
+    Ab = zeros((len(monos), len(gens) * w + 1), f)
+    Ab[at, np.concatenate(cols)] = np.concatenate(vals)
+    # p past the reach is no combination in the window: the truncation decides
+    x = solve(Ab[:, :-1], Ab[:, -1], f) if p.degree() <= reach else None
     if x is None:
         # exact cofactors put reduce(p) inside the truncated ideal, so the
         # truncation is only needed when the solve fails
         if not truncate_ideal(ideal, algebra).contains(algebra.reduce(p)):
             return MemberResult("no-certified")
         return MemberResult("undetermined")
-    cofactors = tuple(Polynomial.from_coefficients(f, spec.nvars, box.monos, row)
+    cofactors = tuple(Polynomial.from_coefficients(f, spec.nvars, window, row)
                       for row in x.reshape(len(gens), -1))
     # the certificate is checked by polynomial arithmetic, not by the solve
     if sum((h * g for h, g in zip(cofactors, gens)), Polynomial.zero(f, spec.nvars)) != p:

@@ -131,8 +131,8 @@ class MonomialBox:
         return out
 
     def vector(self, p, field):
-        """The coefficient vector of p, or None if deg p >= N."""
-        return None if p.degree() >= self.N else self.multiples(p, 0, field)[0]
+        """The coefficient vector of p; ValueError if deg p >= N."""
+        return self.multiples(p, 0, field)[0]
 
 
 class Polynomial:

@@ -277,6 +277,27 @@ def test_out_of_range_numbers_exit_one(capsys, argv):
     assert ">= " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "a-inf-1", "-N", "3"),
+    ("validate", "a-inf-1", "-D", "9"),
+    ("ann", "a-inf-1/phi?n=1", "-N", "6", "--n-max", "3"),
+    ("double", "a-inf-1/phi?n=1", "-N", "6", "--n-max", "3"),
+])
+def test_flags_a_subcommand_does_not_read_exit_one(capsys, argv):
+    # a flag that changes the report's config but no computation is refused
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("subfamily", ["all", "cm0"])
+def test_topology_needs_a_square_root_of_minus_one(capsys, subfamily):
+    code, out, err = run(capsys, "topology", "a-inf-2", "--subfamily", subfamily,
+                         "--field", "q")
+    assert code == 1 and out == ""
+    assert "needs a square root of -1" in err
+
+
 def test_smallest_accepted_numbers(capsys):
     code, out, _ = run(capsys, "ann", "a-inf-1/phi?n=1", "-N", "6", "-D", "0")
     assert code in (0, 2) and json.loads(out)["config"]["witness_degree"] == 0

@@ -188,6 +188,24 @@ def test_member_rejects_exponents_past_int64_keys():
     assert member(XXZZ.poly("y^60000"), I(XXZZ, "x"), N=5, D=0).status == "undetermined"
 
 
+def test_member_solves_only_the_monomials_its_products_reach(monkeypatch):
+    # (x, y^200) over a-inf-2: 35 multipliers of degree <= 4 for each of x,
+    # y^200 and f = x^2 + z^2 make 105 unknowns, and their 4 terms reach at
+    # most 4 * 35 monomials, plus the one of p
+    shapes, real = [], ideals.solve
+
+    def recorded(A, b, field):
+        shapes.append(A.shape)
+        return real(A, b, field)
+
+    monkeypatch.setattr(ideals, "solve", recorded)
+    res = member(XXZZ.poly("x*y"), I(XXZZ, "x", "y^200"), N=8, D=4)
+    assert res.status == "yes-certified"
+    assert [XXZZ.format(h) for h in res.cofactors] == ["y", "0", "0"]
+    ((rows, cols),) = shapes
+    assert rows <= 141 and cols == 105
+
+
 def test_member_checks_solved_cofactors(monkeypatch):
     # a solve that returns a wrong vector must not become a certificate
     def wrong(A, b, field):

@@ -2,8 +2,10 @@
 
 import pytest
 
-from mfann.families import family_layout
+from mfann import families, mf
+from mfann.families import build_family
 from mfann.fields import PrimeField, Rationals
+from mfann.ideals import IdealSpec
 from mfann.mf import (
     RING_IDS,
     CatalogError,
@@ -163,11 +165,34 @@ FAMILY_LAYOUTS = {
 
 @pytest.mark.parametrize("ring_id", RING_IDS)
 def test_family_layout_read_off_catalog_table(ring_id):
-    finite, parametric = family_layout(ring_id)
-    assert (finite, parametric) == FAMILY_LAYOUTS[ring_id]
-    assert list(parametric) == list(FAMILY_LAYOUTS[ring_id][1])
+    finite, parametric = FAMILY_LAYOUTS[ring_id]
+    family = build_family(ring_id, F13, N=8)
+    spec = family.ring
+    assert [label for label, _ideal in family.members] == finite
+    for label, ideal in family.members:
+        assert ideal == catalog(ring_id, label, None, F13).expected_annihilator
+    assert [label for label, _chain, _limit in family.parametric] == list(parametric)
+    for label, chain, limit in family.parametric:
+        fixed, base, offset, limit_gens = parametric[label]
+        assert chain.fixed == IdealSpec.from_strings(spec, fixed).generators
+        assert (chain.tail_base, chain.tail_offset) == (spec.poly(base), offset)
+        assert limit == IdealSpec.from_strings(spec, limit_gens)
     with pytest.raises(CatalogError):
-        family_layout("x-inf-9")
+        build_family("x-inf-9", F13)
+
+
+def test_build_family_parses_no_catalog_entry(monkeypatch):
+    # the families read the table rows alone: no matrix is parsed
+    def refuse(*args, **kwargs):
+        raise RuntimeError("catalog() called")
+
+    monkeypatch.setattr(mf, "catalog", refuse)
+    monkeypatch.setattr(families, "catalog", refuse, raising=False)
+    for ring_id in RING_IDS:
+        family = build_family(ring_id, F13, N=12)
+        assert len(family.members) + len(family.parametric) == len(catalog_labels(ring_id))
+    cm0 = build_family("a-inf-1", F13, N=8, subfamily="cm0")
+    assert cm0.members == () and [label for label, *_ in cm0.parametric] == ["phi"]
 
 
 def test_direct_sum_entries_come_from_their_summands():
