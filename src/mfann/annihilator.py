@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import InvariantError, Rationals
+from .fields import InvariantError, Rationals, SpecError
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
 from .linalg import (Subspace, _dot_sparse, _integer_rows, dot, echelon, eliminate, eye, mod,
                      neg, zeros)
@@ -148,10 +148,10 @@ class _Graded:
     """The blocks of the matrix with rows (g, m), of degree deg m -
     row_shift[g], columns (i, m'), of degree deg m' - col_shift[i], and
     entry op(entries[g][i])[m, m'] (None is zero), nonzero only between
-    equal degrees: one block per column degree in `labels`, in `stack`
-    (blocks x groups * width x groups * width) in the original order, and
-    row_at, col_at their places g * count + m, or groups * count for
-    padding."""
+    equal degrees: one block per column degree d - col_shift[i], d in
+    degrees.blocks, in `labels`, in `stack` (blocks x groups * width x
+    groups * width) in the original order, and row_at, col_at their places
+    g * count + m, or groups * count for padding."""
 
     def __init__(self, degrees, entries, op, row_shift, col_shift, field):
         mats = {}  # op(e) for the distinct keys, from the second operator on
@@ -164,7 +164,7 @@ class _Graded:
             ops[k, :len(m), :m.shape[1]] = m
         number = {e: k for k, e in enumerate(mats, 1)}
         index = np.array([[number.get(e, 0) for e in row] for row in entries])
-        self.labels = np.unique(degrees.degs[:, None] - col_shift)
+        self.labels = np.unique(degrees.blocks[:, None] - col_shift)
         rows, cols = (degrees.members[_find(degrees.labels, self.labels[:, None] + shift)]
                       for shift in (row_shift, col_shift))
         self.stack = ops[index[:, None, :, None], np.minimum(rows, height)[..., None, None],
@@ -181,6 +181,7 @@ class _System:
     _weights(mf, top), top the largest degree in exps: `labels` the
     degrees, ascending, and members[d] the monomials of degree labels[d],
     ascending, padded with their count, then a row of padding alone.
+    Only r's degrees in `blocks` (default: all) are built; `cols` their members.
 
     The rows of G, (i', m) = m * phi[:, i'] and any more in G_entries, span
     the columns that phi*alpha can take; those of H, (j, m) =
@@ -199,7 +200,7 @@ class _System:
     r's coordinates from the rows pivoting in E'.
     """
 
-    def __init__(self, mf, exps, G_entries, H_entries, op, reduce_rows):
+    def __init__(self, mf, exps, G_entries, H_entries, op, reduce_rows, blocks=None):
         n, field = mf.n, mf.spec.field
         w, a, b, f_weight = _weights(mf, int(exps.sum(axis=1).max()))
         self.count, self.degs = len(exps), exps @ w
@@ -208,6 +209,8 @@ class _System:
         self.members = np.full((len(sizes) + 1, sizes.max()), self.count, dtype=np.intp)
         self.members[inverse[order], np.arange(self.count) - (np.cumsum(sizes) - sizes)[
             inverse[order]]] = order
+        self.blocks = self.labels if blocks is None else np.array(blocks, dtype=np.int64)
+        self.cols = self.members[_find(self.labels, self.blocks)]
         # degrees: G's rows (i', m) deg m - b_i', its rows (k, m) = f * m e_k
         # deg m + deg f - a_k, and H's rows (j, m) deg m + b_j + deg f
         G = self.G = _Graded(self, G_entries, op, np.r_[b, a - f_weight][:len(G_entries)], a,
@@ -219,8 +222,8 @@ class _System:
         # the functionals at G's padding columns are those unit vectors: zero them
         E = np.where((e_pivots >= 0)[..., None] & (G.col_at < n * self.count)[:, None], self.X, 0)
         R = echelon(H.stack, field)[0] if reduce_rows else H.stack
-        g = _find(G.labels, self.labels[:, None] - a)  # [d, J]
-        self.h = _find(H.labels, self.labels[:, None] + a)  # [d, i]
+        g = _find(G.labels, self.blocks[:, None] - a)  # [d, J]
+        self.h = _find(H.labels, self.blocks[:, None] + a)  # [d, i]
         U = width // n  # the monomials of one degree, padded
         E = np.concatenate([E, np.zeros_like(E[:1])])[g].reshape(g.shape + E.shape[1:2] + (n, U))
         R = np.concatenate([R, np.zeros_like(R[:1])])[self.h].reshape(
@@ -229,7 +232,7 @@ class _System:
         S = S.transpose(0, 1, 3, 2, 4).reshape(len(g), n * E.shape[2], n * R.shape[2])
         Er = E[:, np.arange(n), :, np.arange(n)].transpose(1, 0, 2, 3).reshape(*S.shape[:2], U)
         self.Y, self.y_pivots, k_pivots = eliminate(S, Er, field)
-        self.K = Subspace.from_blocks(field, self.count, self.Y, k_pivots, self.members[:-1])
+        self.K = Subspace.from_blocks(field, self.count, self.Y, k_pivots, self.cols)
 
 
 def _nonzero(mat, key=lambda e: e):
@@ -277,11 +280,12 @@ class _WitnessSearcher:
     degree <= top, where top >= D + (largest entry degree), every product
     has degree <= top, so deg(f*gamma) = deg f + deg gamma bounds gamma by
     top - deg f exactly.  Coefficients live on the MonomialBox of degree
-    <= max(top, deg f).  Each r costs the block products K r and Y r, then
-    beta*psi and X on the columns of r*I - beta*psi for alpha and gamma.
+    <= max(top, deg f), and only the degrees in `blocks` (default: all), of
+    the r it serves, are built: r is solvable exactly when each homogeneous
+    part is.  Each r costs K r, Y r, then beta*psi and X on r*I - beta*psi.
     """
 
-    def __init__(self, mf: MatrixFactorization, D: int, top: int):
+    def __init__(self, mf: MatrixFactorization, D: int, top: int, blocks=None):
         self.mf = mf
         spec = mf.spec
         field, n = spec.field, mf.n
@@ -292,7 +296,7 @@ class _WitnessSearcher:
         system = self.system = _System(
             mf, np.array(box.monos, dtype=np.int64).reshape(box.dim, -1),
             _nonzero(zip(*mf.phi), lambda e: (e, D)) + absorbers,
-            _nonzero(mf.psi, lambda e: (e, D)), lambda key: box.multiples(*key, field), False)
+            _nonzero(mf.psi, lambda e: (e, D)), lambda k: box.multiples(*k, field), False, blocks)
         # places in y, which holds beta[i][j] at i * n * dim + j * dim + m, and
         # in x, which holds G's rows (g, m) at g * dim + m; the last for padding
         size, H = n * n * box.dim, system.H
@@ -317,11 +321,12 @@ class _WitnessSearcher:
         field = mf.spec.field
         n, dim = mf.n, self.box.dim
         r_vec = self.box.vector(r, field)
+        if not np.isin(system.degs[np.flatnonzero(r_vec)], system.blocks).all():
+            raise InvariantError("r has a term outside the degrees of its searcher")
         if np.count_nonzero(dot(system.K.basis, r_vec, field)):
             return None  # S y = E' r is inconsistent
         y = zeros(n * n * dim + 1, field)
-        y[self.y_at] = dot(system.Y, np.append(r_vec, field.zero)[system.members[:-1], None],
-                           field)[..., 0]
+        y[self.y_at] = dot(system.Y, np.append(r_vec, field.zero)[system.cols, None], field)[..., 0]
         # r*I - beta*psi, [i, J, m], from beta*psi block by block of H; its
         # columns J are the right-hand sides of G^T x = c, block by block of G
         bp = zeros((n, n * dim + 1), field)
@@ -343,9 +348,21 @@ class _WitnessSearcher:
         return witness
 
 
-@functools.lru_cache(maxsize=64)
-def _searcher(mf: MatrixFactorization, D: int, top: int) -> _WitnessSearcher:
-    return _WitnessSearcher(mf, D, top)
+_searcher = functools.lru_cache(maxsize=64)(_WitnessSearcher)
+
+
+def _searchers(mf: MatrixFactorization, D: int, rs):
+    """The searcher of each r in rs: one per top degree, built for the
+    degrees of the terms of the rs it serves (every degree if none)."""
+    spec = mf.spec
+    if any(r.field != spec.field or r.nvars != spec.nvars for r in rs):
+        raise SpecError("polynomial not over the ring of its coefficient space")
+    entry_degree = max(e.degree() for row in mf.phi + mf.psi for e in row)
+    tops, blocks = [max(D + entry_degree, r.degree()) for r in rs], {}
+    for r, top in zip(rs, tops):  # the weights of _System on the box of degree max(top, deg f)
+        w = _weights(mf, max(top, spec.f.degree()))[0]
+        blocks[top] = blocks.get(top, frozenset()) | {int(w @ m) for m in r.terms}
+    return [_searcher(mf, D, top, tuple(sorted(blocks[top])) or None) for top in tops]
 
 
 def witness_search(mf: MatrixFactorization, r: Polynomial, D: int):
@@ -355,8 +372,7 @@ def witness_search(mf: MatrixFactorization, r: Polynomial, D: int):
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
-    entry_degree = max(e.degree() for row in mf.phi + mf.psi for e in row)
-    return _searcher(mf, D, max(D + entry_degree, r.degree())).search(r)
+    return _searchers(mf, D, [r])[0].search(r)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +408,8 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
         if not remaining:
             break
         still = []
-        for g in remaining:
-            w = witness_search(mf, g, d_try)
+        for g, searcher in zip(remaining, _searchers(mf, d_try, remaining)):
+            w = searcher.search(g)
             if w is None:
                 still.append(g)
             else:

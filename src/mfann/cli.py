@@ -32,6 +32,7 @@ from .poly import grlex_key
 from .truncation import SpecError, build_truncation
 
 SCHEMA = 1
+DEFAULTS = {"trunc": 10, "witness_degree": None, "n_max": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +129,9 @@ def _validate_payload(ring_id, field, n_max):
 
 def cmd_validate(args) -> int:
     field = parse_field_flag(args.field)
+    if args.n_max is not None and (args.json or args.selector not in RING_IDS):
+        raise CatalogError("unrecognized arguments: --n-max, read for a ring id only")
+    args.n_max = args.n_max or DEFAULTS["n_max"]
     if args.json:
         with open(args.json) as fh:
             try:
@@ -318,7 +322,7 @@ def _add_common(p, *reads):
                        help="largest parameter value for parametric entries")
     p.add_argument("--out", default=None, metavar="FILE", help="write report to FILE")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(trunc=10, witness_degree=None, n_max=5)
+    p.set_defaults(**DEFAULTS)
 
 
 def build_parser():
@@ -334,7 +338,7 @@ def build_parser():
     p.add_argument("--json", default=None, metavar="FILE",
                    help="validate a matrix factorization from a JSON file")
     _add_common(p, "n_max")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, n_max=None)  # None: not given
 
     p = sub.add_parser("ann", help="compute one annihilator with certificates")
     p.add_argument("selector", help="ring/label[?n=K] selector")

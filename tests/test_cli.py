@@ -282,6 +282,7 @@ def test_out_of_range_numbers_exit_one(capsys, argv):
     ("validate", "a-inf-1", "-D", "9"),
     ("ann", "a-inf-1/phi?n=1", "-N", "6", "--n-max", "3"),
     ("double", "a-inf-1/phi?n=1", "-N", "6", "--n-max", "3"),
+    ("validate", "a-inf-1/phi?n=2", "--n-max", "7"),  # read for a ring id only
 ])
 def test_flags_a_subcommand_does_not_read_exit_one(capsys, argv):
     # a flag that changes the report's config but no computation is refused

@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from mfann import annihilator
 from mfann.annihilator import (
+    annihilate,
     annihilator_truncated,
     grading,
     membership_truncated,
     witness_search,
 )
-from mfann.fields import PrimeField, Rationals
+from mfann.fields import InvariantError, PrimeField, Rationals
 from mfann.mf import (
     RING_IDS,
     MatrixFactorization,
@@ -206,3 +207,54 @@ def test_the_split_system_equals_the_one_block_system(case):
     with mock.patch.object(annihilator, "grading", one_block):
         whole = results(mf, rs)
     assert split == whole
+
+
+# ---------------------------------------------------------------------------
+# witness searchers built for the degrees they serve
+# ---------------------------------------------------------------------------
+
+
+def term_degrees(searcher, r):
+    """The degrees of the terms of r under the grading of the searcher's system."""
+    vector = searcher.box.vector(r, searcher.mf.spec.field)
+    return set(searcher.system.degs[np.flatnonzero(vector)].tolist())
+
+
+def test_a_searcher_refuses_a_term_outside_its_degrees():
+    mf = catalog("a-inf-1", "phi", 2, F13).mf
+    x, other = mf.spec.poly("x"), mf.spec.poly("x + y^3")
+    annihilator._searcher.cache_clear()
+    searcher = annihilator._searchers(mf, 2, [x])[0]
+    assert len(searcher.system.Y) == 1
+    assert term_degrees(searcher, other) - term_degrees(searcher, x)
+    assert searcher.search(x) is not None
+    with pytest.raises(InvariantError, match="outside the degrees"):
+        searcher.search(other)
+    annihilator._searcher.cache_clear()
+
+
+def test_annihilate_builds_one_block_per_generator_degree():
+    mf = catalog("d-inf-2", "delta+", 5, F13).mf
+    systems, served = [], {}
+    system, search = annihilator._System, annihilator._WitnessSearcher.search
+
+    def build(*args, **kwargs):
+        systems.append(system(*args, **kwargs))
+        return systems[-1]
+
+    def record(searcher, r):
+        served.setdefault(searcher, []).append(r)
+        return search(searcher, r)
+
+    annihilator._searcher.cache_clear()
+    with mock.patch.object(annihilator, "_System", build), \
+            mock.patch.object(annihilator._WitnessSearcher, "search", record):
+        result = annihilate(mf, N=10, D=7)
+    assert result.status == "certified-exact"
+    # one system for the truncated annihilator and one per searcher, one
+    # searcher per (witness degree, top degree) pair that the ladder meets
+    assert len(systems) == 1 + len(served) <= 6
+    for searcher, rs in served.items():
+        degrees = set().union(*(term_degrees(searcher, r) for r in rs))
+        assert len(searcher.system.Y) == len(degrees)
+        assert set(searcher.system.blocks.tolist()) == degrees
