@@ -14,9 +14,9 @@ The image of (alpha, beta) |-> phi*alpha + beta*psi is "column space in
 every column plus row space in every row", so the system reduces to small
 quotient conditions.  It is moreover graded: `grading` finds the weights
 under which f and the entries are homogeneous, and since m^N is a monomial
-ideal every matrix splits into blocks of one degree each.  They are built
-from the degrees and eliminated as one zero-padded stack; the dense system
-is never formed.  Without a grading there is one block, the whole system.
+ideal every matrix splits into blocks of one degree each, scattered from
+the entries' term triplets into one stack and eliminated at once: no dense
+system or operator is formed.  Without a grading there is one block.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .fields import InvariantError, Rationals, SpecError
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
 from .linalg import (Subspace, _dot_sparse, _integer_rows, dot, echelon, eliminate, eye, mod,
-                     neg, zeros)
+                     neg, scatter, zeros)
 from .mf import MatrixFactorization, poly_mat_mul
 from .poly import MonomialBox, Polynomial, grlex_key
 from .truncation import build_truncation
@@ -147,40 +147,41 @@ def _find(labels, values):
 class _Graded:
     """The blocks of the matrix with rows (g, m), of degree deg m -
     row_shift[g], columns (i, m'), of degree deg m' - col_shift[i], and
-    entry op(entries[g][i])[m, m'] (None is zero), nonzero only between
-    equal degrees: one block per column degree d - col_shift[i], d in
-    degrees.blocks, in `labels`, in `stack` (blocks x groups * width x
-    groups * width) in the original order, and row_at, col_at their places
-    g * count + m, or groups * count for padding."""
+    entry the sum of the values of the triplets (m, m', value) of
+    op(entries[g][i]) (None is zero), kept only between equal degrees: one
+    block per column degree d - col_shift[i], d in degrees.blocks, in
+    `labels`, scattered into `stack` (blocks x groups * width x columns *
+    width, m at its slot), and row_at, col_at their places g * count + m,
+    or groups * count for padding."""
 
     def __init__(self, degrees, entries, op, row_shift, col_shift, field):
-        mats = {}  # op(e) for the distinct keys, from the second operator on
-        for e in itertools.chain(*entries):
-            if e is not None and e not in mats:
-                mats[e] = op(e)
-        height = max((len(m) for m in mats.values()), default=0)  # the rows past it are zero
-        ops = zeros((len(mats) + 1, height + 1, degrees.count + 1), field)
-        for k, m in enumerate(mats.values(), 1):
-            ops[k, :len(m), :m.shape[1]] = m
-        number = {e: k for k, e in enumerate(mats, 1)}
-        index = np.array([[number.get(e, 0) for e in row] for row in entries])
-        self.labels = np.unique(degrees.blocks[:, None] - col_shift)
+        # the distinct labels, ascending: np.unique would import numpy.ma, for 20 ms
+        self.labels = np.array(sorted(set((degrees.blocks[:, None] - col_shift).ravel().tolist())))
         rows, cols = (degrees.members[_find(degrees.labels, self.labels[:, None] + shift)]
                       for shift in (row_shift, col_shift))
-        self.stack = ops[index[:, None, :, None], np.minimum(rows, height)[..., None, None],
-                         cols[:, None, None]].reshape(len(self.labels), rows[0].size, cols[0].size)
         self.row_at, self.col_at = (np.where(
             m < degrees.count, np.arange(m.shape[1])[:, None] * degrees.count + m,
             m.shape[1] * degrees.count).reshape(len(m), m[0].size) for m in (rows, cols))
+        op = functools.cache(op)  # once per distinct key
+        g, i, m, m2, values = zip(*((g, i, *op(e)) for g, row in enumerate(entries)
+                                    for i, e in enumerate(row) if e is not None))
+        g, i = (np.repeat(k, list(map(len, m))) for k in (g, i))
+        m, m2, values = map(np.concatenate, (m, m2, values))
+        label, width = degrees.degs[m] - row_shift[g], degrees.members.shape[1]
+        block = _find(self.labels, label)
+        keep = (block < len(self.labels)) & (label == degrees.degs[m2] - col_shift[i])
+        self.stack = scatter((len(self.labels), rows[0].size, cols[0].size), field, *(
+            x[keep] for x in (block, g * width + degrees.slot[m], i * width + degrees.slot[m2],
+                              values)))
 
 
 class _System:
     """The system over monomials (the rows of exps: R_N's basis, or a box
-    for exact coefficients), op(e)[m, m'] being the coefficient of m' in
-    e * m for the keys e of the entries, split by the degree of
-    _weights(mf, top), top the largest degree in exps: `labels` the
-    degrees, ascending, and members[d] the monomials of degree labels[d],
-    ascending, padded with their count, then a row of padding alone.
+    for exact coefficients), op(e) the triplets (m, m', c) of e * m = sum c m'
+    for the keys e of the entries, split by the degree of _weights(mf, top),
+    top the largest degree in exps: `labels` the degrees, ascending, and
+    members[d] the monomials of degree labels[d], ascending, padded with
+    their count, then a row of padding alone; slot[m] is m's place in its row.
     Only r's degrees in `blocks` (default: all) are built; `cols` their members.
 
     The rows of G, (i', m) = m * phi[:, i'] and any more in G_entries, span
@@ -206,9 +207,10 @@ class _System:
         self.count, self.degs = len(exps), exps @ w
         self.labels, inverse, sizes = np.unique(self.degs, return_inverse=True, return_counts=True)
         order = np.argsort(inverse, kind="stable")
+        self.slot = np.empty(self.count, dtype=np.intp)
+        self.slot[order] = np.arange(self.count) - (np.cumsum(sizes) - sizes)[inverse[order]]
         self.members = np.full((len(sizes) + 1, sizes.max()), self.count, dtype=np.intp)
-        self.members[inverse[order], np.arange(self.count) - (np.cumsum(sizes) - sizes)[
-            inverse[order]]] = order
+        self.members[inverse, self.slot] = np.arange(self.count)
         self.blocks = self.labels if blocks is None else np.array(blocks, dtype=np.int64)
         self.cols = self.members[_find(self.labels, self.blocks)]
         # degrees: G's rows (i', m) deg m - b_i', its rows (k, m) = f * m e_k
@@ -246,7 +248,7 @@ def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
     algebra = build_truncation(mf.spec, N)
     field = algebra.field
     exps = np.array(algebra.basis, dtype=np.int64).reshape(algebra.dim, -1)
-    K = _System(mf, exps, _nonzero(zip(*mf.phi)), _nonzero(mf.psi), algebra.multiples, True).K
+    K = _System(mf, exps, _nonzero(zip(*mf.phi)), _nonzero(mf.psi), algebra.triplets, True).K
     ann = Subspace.from_vectors(field, algebra.dim, K.complement_functionals())
     # post-check: the solvable set is an ideal of R_N
     for v in range(mf.spec.nvars):
@@ -296,7 +298,7 @@ class _WitnessSearcher:
         system = self.system = _System(
             mf, np.array(box.monos, dtype=np.int64).reshape(box.dim, -1),
             _nonzero(zip(*mf.phi), lambda e: (e, D)) + absorbers,
-            _nonzero(mf.psi, lambda e: (e, D)), lambda k: box.multiples(*k, field), False, blocks)
+            _nonzero(mf.psi, lambda e: (e, D)), lambda k: box.triplets(*k, field), False, blocks)
         # places in y, which holds beta[i][j] at i * n * dim + j * dim + m, and
         # in x, which holds G's rows (g, m) at g * dim + m; the last for padding
         size, H = n * n * box.dim, system.H

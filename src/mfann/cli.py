@@ -372,8 +372,8 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (CatalogError, SpecError, FieldError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CatalogError, SpecError, FieldError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     except InvariantError as exc:
         print(f"error: internal invariant failed: {exc}", file=sys.stderr)

@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = [
     "rref", "kernel", "solve_affine", "mat_mul", "Subspace", "eye", "zeros",
-    "as_array", "dot", "mod", "neg", "echelon", "eliminate", "solve",
+    "as_array", "dot", "mod", "neg", "scatter", "echelon", "eliminate", "solve",
 ]
 
 _INT64_MAX = 2**63 - 1
@@ -98,10 +98,15 @@ def _dot_sparse(A, B, field):
     count = np.searchsorted(bb * k + tb, b * k + t, side="right") - first
     a_at = np.repeat(np.arange(b.size), count)
     b_at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
-    out = zeros(len(A) * m * n, field)
-    np.add.at(out, (b[a_at] * m + i[a_at]) * n + j[b_at],
-              mod(A[b, i, t][a_at] * B[bb, tb, j][b_at], field))
-    return mod(out, field).reshape(shape)
+    return scatter(len(A) * m * n, field, (b[a_at] * m + i[a_at]) * n + j[b_at],
+                   mod(A[b, i, t][a_at] * B[bb, tb, j][b_at], field)).reshape(shape)
+
+
+def scatter(shape, field, *at_values):
+    """zeros(shape) plus each values[k] at (at[0][k], ...), reduced: at_values = (*at, values)."""
+    out = zeros(shape, field)
+    np.add.at(out, at_values[:-1], at_values[-1])
+    return mod(out, field)
 
 
 def mod(A, field):

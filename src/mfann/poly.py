@@ -10,14 +10,16 @@ table and the exact witness and membership solves share it.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 
 from .fields import SpecError, json_check, json_item
-from .linalg import as_array, zeros
+from .linalg import as_array, scatter
 
 Monomial = tuple
+MAX_BOX = 20_000  # monomials; about 7x the largest box of reproduce-paper -N 24 --n-max 12
 
 __all__ = [
     "Monomial",
@@ -87,8 +89,9 @@ class MonomialBox:
 
     The keys of two monomials of the box add to the key of their product,
     which never aliases another key; a product of degree >= N, or any
-    monomial of degree >= N, gets the index dim.  The int64 key bound is
-    checked before a monomial is listed.
+    monomial of degree >= N, gets the index dim.  The int64 key bound, then
+    MAX_BOX, is checked before a monomial is listed.  Multiples are handed
+    out as triplets (row, column, coefficient).
     """
 
     def __init__(self, nvars: int, N: int):
@@ -97,6 +100,8 @@ class MonomialBox:
         except ValueError:
             raise ValueError(f"monomials of degree < {N} in {nvars} variables "
                              "overflow int64 keys") from None
+        if math.comb(N - 1 + nvars, nvars) > MAX_BOX:  # their number
+            raise ValueError(f"more than {MAX_BOX} monomials of degree < {N} in {nvars} variables")
         self.nvars, self.N = nvars, N
         self.monos = monomials_below(nvars, N)
         self.dim = len(self.monos)
@@ -121,14 +126,18 @@ class MonomialBox:
     def multiples(self, p, D: int, field):
         """Rows m * p over the monomials m of degree <= D, a prefix of the
         box; ValueError if a product leaves the box."""
+        return scatter((np.searchsorted(self.degs, D, side="right"), self.dim), field,
+                       *self.triplets(p, D, field))
+
+    def triplets(self, p, D: int, field):
+        """The multiples as triplets: (m, index of m * t, c) for the
+        monomials m of degree <= D and the terms c t of p."""
         if D >= 0 and p.degree() + D >= self.N:
             raise ValueError("multiples outside the monomial box")
         count = int(np.searchsorted(self.degs, D, side="right"))
         keys, degs, coeffs = self.terms(p, field)
         at = self.locate(keys[:, None] + self.keys[:count], degs[:, None] + self.degs[:count])
-        out = zeros((count, self.dim), field)
-        out[np.arange(count), at] = coeffs[:, None]  # [term, m]
-        return out
+        return np.arange(at.size) % max(count, 1), at.ravel(), np.repeat(coeffs, count)
 
     def vector(self, p, field):
         """The coefficient vector of p; ValueError if deg p >= N."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SpecError, field_from_config, field_to_config, json_check, json_item
-from .linalg import Subspace, mod, neg, zeros
+from .linalg import Subspace, mod, neg, scatter, zeros
 from .poly import MonomialBox, Polynomial, parse_poly
 
 
@@ -78,9 +78,10 @@ class TruncatedAlgebra:
     degrees are linear in the exponents, so the product of two monomials is
     located from the sums of theirs, without forming its exponents.  Multiplying
     by a polynomial gathers the nonzero entries of the shifted rows, through
-    the table's support mask, scales those whose coefficient is not 1 and
-    scatter-adds them into the result: no arithmetic on a zero entry, and
-    no multiplication for a coefficient 1.
+    the table's support mask, and scales those whose coefficient is not 1:
+    no arithmetic on a zero entry, and no multiplication for a coefficient
+    1.  They are handed out as triplets (row, column, value), which the
+    graded systems scatter-add straight into their blocks.
     """
 
     def __init__(self, spec: RingSpec, N: int):
@@ -104,7 +105,7 @@ class TruncatedAlgebra:
         # of each relation and keeps the small monomials standard.
         relations = Subspace.from_vectors(field, n, rel[:, n - 1::-1])
         pivot_rows = n - 1 - np.array(relations.pivots, dtype=np.int64)
-        standard = np.setdiff1d(np.arange(n), pivot_rows)
+        standard = np.delete(np.arange(n), pivot_rows)
         self.basis = [box.monos[i] for i in standard]
         self._basis_keys, self._basis_degs = box.keys[standard], box.degs[standard]
         d = len(standard)
@@ -123,8 +124,7 @@ class TruncatedAlgebra:
 
     def reduce(self, p: Polynomial):
         """Coordinate vector of p in R_N (exact), as an array."""
-        none = np.zeros(1, dtype=np.int64)  # the key and degree of the monomial 1
-        return self._shifted_sum(p, none, none)[0]
+        return scatter(self.dim, self.field, *self.triplets(p, 1)[1:])  # basis[0] is 1
 
     def lift(self, coords) -> Polynomial:
         """The standard-monomial representative with the given coordinates."""
@@ -136,26 +136,25 @@ class TruncatedAlgebra:
 
         The transpose is the matrix of multiplication by p.
         """
-        return self._shifted_sum(p, self._basis_keys, self._basis_degs)
+        return scatter((self.dim, self.dim), self.field, *self.triplets(p))
 
-    def _shifted_sum(self, p: Polynomial, shift_keys, shift_degs):
-        """Rows j = reduce(p * x^s_j) for the monomials s_j of the given keys
-        and degrees: the sum over the terms c x^e of p of c * table[row of
-        e + s_j], formed from the nonzero table entries alone and
-        scatter-added (duplicate positions add up)."""
+    def triplets(self, p: Polynomial, count=None):
+        """The multiples by the first count basis monomials (default: all)
+        as triplets (j, i, value), the values at (j, i) adding up to
+        multiples(p)[j, i]: over the terms c x^e of p, c * table[row of
+        e + basis[j]], from the nonzero table entries alone."""
         field = self.field
         box = self.box
         keys, degs, coeffs = box.terms(p, field)
-        rows = box.locate(keys[:, None] + shift_keys, degs[:, None] + shift_degs)  # term x shift
+        rows = box.locate(keys[:, None] + self._basis_keys[:count],  # term x basis
+                          degs[:, None] + self._basis_degs[:count])
         # flat positions: np.nonzero of the 3-d mask is an order slower
         mask = self._support[rows]
         t, j, i = np.unravel_index(np.flatnonzero(mask), mask.shape)
         vals = self.table[rows[t, j], i]
         scale = (coeffs != field.one)[t]
         vals[scale] = mod(vals[scale] * coeffs[t[scale]], field)
-        out = zeros((len(shift_keys), self.dim), field)
-        np.add.at(out, (j, i), vals)
-        return mod(out, field)
+        return j, i, vals
 
 
 @functools.lru_cache(maxsize=128)

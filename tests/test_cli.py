@@ -66,18 +66,34 @@ def test_field_above_int64_bound_exit_one(capsys):
     assert "2^31" in err
 
 
-@pytest.mark.parametrize("argv, named", [(("ann", "a-inf-1/R/xR", "-N", "2000000"), "2000000"),
-                                         (("ann", "a-inf-1/phi?n=100000000"), "overflow")],
-                         ids=["truncation-order", "entry-degree"])
+@pytest.mark.parametrize("argv, named", [
+    (("ann", "a-inf-1/R/xR", "-N", "2000000"), ("overflow", "2000000")),
+    (("ann", "a-inf-1/phi?n=100000000"), ("overflow",)),
+    (("ann", "a-inf-1/R/xR", "-N", "100000"), ("more than 20000", "100000")),
+    (("ann", "a-inf-1/phi?n=5000"), ("more than 20000",))],
+    ids=["truncation-order", "entry-degree", "truncation-box", "entry-box"])
 def test_oversized_monomial_box_exit_one_at_once(capsys, argv, named):
     # R_N, or the witness search for an entry of degree 10^8, needs graded-lex
-    # keys past int64: the monomial box refuses before listing a monomial, and
-    # an oversized truncation order is named as the user gave it
+    # keys past int64, and R_100000 or the search for an entry of degree 5000
+    # billions of monomials: the monomial box refuses before listing a
+    # monomial, and an oversized truncation order is named as the user gave it
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert "overflow" in err and named in err and "Traceback" not in err
+    assert all(word in err for word in named) and "Traceback" not in err
+    assert err.count("\n") == 1
     assert time.perf_counter() - start < 10
+
+
+def test_memory_error_exit_one(capsys, monkeypatch):
+    from mfann import cli
+
+    def exhausted(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "annihilate", exhausted)
+    code, out, err = run(capsys, "ann", "a-inf-1/phi?n=1")
+    assert (code, out, err) == (1, "", "error: MemoryError\n")
 
 
 def test_malformed_field_flag_exit_one(capsys):
@@ -376,3 +392,19 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_reproduce_paper_never_imports_numpy_ma():
+    # np.unique and np.setdiff1d import numpy.ma on first use, at a cost of
+    # about 1 MB of RSS and 20 ms per process
+    src = str(Path(mfann.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import contextlib, io, sys\n"
+              "from mfann.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['reproduce-paper', '-N', '6', '--n-max', '2'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr

@@ -7,8 +7,10 @@ for the catalog rings, and the split results against the one-block system,
 which a grading with no rows gives.
 """
 
+import contextlib
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +26,7 @@ from mfann.annihilator import (
     witness_search,
 )
 from mfann.fields import InvariantError, PrimeField, Rationals
+from mfann.linalg import zeros
 from mfann.mf import (
     RING_IDS,
     MatrixFactorization,
@@ -36,6 +39,7 @@ from mfann.mf import (
     validate,
 )
 from mfann.poly import Polynomial
+from mfann.truncation import build_truncation
 from test_acceptance import random_mf
 
 F13 = PrimeField(13, 5)
@@ -258,3 +262,110 @@ def test_annihilate_builds_one_block_per_generator_degree():
         degrees = set().union(*(term_degrees(searcher, r) for r in rs))
         assert len(searcher.system.Y) == len(degrees)
         assert set(searcher.system.blocks.tolist()) == degrees
+
+
+# ---------------------------------------------------------------------------
+# the blocks scattered from term triplets
+# ---------------------------------------------------------------------------
+
+
+def gathered_stack(graded, degrees, entries, dense, row_shift, col_shift, field):
+    """graded's stack gathered entry by entry from the dense operators
+    dense(e): block b holds at (g, s), (i, t) the entry [m, m'] of
+    dense(entries[g][i]), m the s-th monomial of degree labels[b] +
+    row_shift[g] and m' the t-th of degree labels[b] + col_shift[i]; rows of
+    the dense operator past its height are zero."""
+    width = degrees.members.shape[1]
+    out = zeros((len(graded.labels), len(entries) * width, len(entries[0]) * width), field)
+    for b, label in enumerate(graded.labels):
+        for g, row in enumerate(entries):
+            for i, e in enumerate(row):
+                if e is None:
+                    continue
+                M = dense(e)
+                cols = np.flatnonzero(degrees.degs == label + col_shift[i])
+                for s, m in enumerate(np.flatnonzero(degrees.degs == label + row_shift[g])):
+                    if m < len(M):
+                        out[b, g * width + s, i * width + np.arange(len(cols))] = M[m, cols]
+    return out
+
+
+def assert_blocks_match_gather(build, dense_of):
+    """Every _Graded that build() makes equals the gather from dense_of(result)."""
+    made = []
+
+    class Recording(annihilator._Graded):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, args))
+
+    with mock.patch.object(annihilator, "_Graded", Recording):
+        try:
+            result = build()
+        except InvariantError:  # from a grading that is none: the blocks are still checked
+            result = None
+    assert len(made) == 2  # G and H
+    for graded, (degrees, entries, _op, row_shift, col_shift, field) in made:
+        labels = sorted({int(d) for d in (degrees.blocks[:, None] - col_shift).ravel()})
+        assert graded.labels.tolist() == labels
+        expected = gathered_stack(graded, degrees, entries, dense_of(result), row_shift,
+                                  col_shift, field)
+        assert graded.stack.shape == expected.shape and np.array_equal(graded.stack, expected)
+
+
+def elementary_conjugate(mf):
+    """mf conjugated by I + x E_01 and I + 2 y E_10, which breaks its grading."""
+    spec, n = mf.spec, mf.n
+    unit = [[spec.poly("1" if a == b else "0") for b in range(n)] for a in range(n)]
+    P, P_inv, Q, Q_inv = ([row[:] for row in unit] for _ in range(4))
+    P[0][1], P_inv[0][1] = spec.poly("x"), spec.poly("-x")
+    Q[1][0], Q_inv[1][0] = spec.poly("2*y"), spec.poly("-2*y")
+    phi = poly_mat_mul(P, poly_mat_mul(mf.phi, Q))
+    psi = poly_mat_mul(Q_inv, poly_mat_mul(mf.psi, P_inv))
+    return MatrixFactorization(spec, n, tuple(map(tuple, phi)), tuple(map(tuple, psi)),
+                               f"conjugate({mf.label})")
+
+
+TRIPLET_CASES = [("a-inf-1", "phi", 2), ("d-inf-1", "gamma", 2), ("d-inf-1", "R/xyR", None),
+                 ("d-inf-2", "delta+", 2)]
+
+
+@pytest.mark.parametrize("field", [F13, QQ], ids=["F13", "Q"])
+@pytest.mark.parametrize("ring_id, label, n", TRIPLET_CASES,
+                         ids=[f"{r}/{lab}" for r, lab, _ in TRIPLET_CASES])
+@pytest.mark.parametrize("form", ["entry", "conjugate", "one-block", "not-a-grading"])
+def test_blocks_scattered_from_triplets_equal_the_dense_gather(field, ring_id, label, n, form):
+    # under weights that grade nothing (the x-degree alone, every shift 0),
+    # terms between unequal degrees are dropped, as the gather drops them
+    mf = catalog(ring_id, label, n, field).mf
+    if form == "conjugate" and mf.n > 1:
+        mf = elementary_conjugate(mf)
+        assert validate(mf).ok
+    N, D = 6, 2
+    algebra = build_truncation(mf.spec, N)
+    weights = {"one-block": one_block,
+               "not-a-grading": lambda mf: np.eye(1, mf.spec.nvars + 2 * mf.n, dtype=np.int64)}
+    with mock.patch.object(annihilator, "grading", weights[form]) if form in weights \
+            else contextlib.nullcontext():
+        assert_blocks_match_gather(lambda: annihilator_truncated(mf, N),
+                                   lambda _: algebra.multiples)
+        entry_degree = max(e.degree() for row in mf.phi + mf.psi for e in row)
+        for blocks in (None, (0,)):
+            assert_blocks_match_gather(
+                lambda: annihilator._WitnessSearcher(mf, D, D + entry_degree, blocks),
+                lambda searcher: lambda key: searcher.box.multiples(*key, field))
+
+
+@pytest.mark.parametrize("field", [F13, QQ], ids=["F13", "Q"])
+def test_annihilate_peak_memory(field):
+    # the blocks are scattered straight from the entries' terms: no dense
+    # operator per entry (5.5 MB over F13 and 4.5 MB over Q when they were)
+    mf = catalog("d-inf-2", "delta+", 5, field).mf
+    tracemalloc.start()
+    try:
+        result = annihilate(mf, N=10, D=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "certified-exact"
+    assert peak < 3 * 2**20

@@ -160,6 +160,11 @@ def test_monomial_box_rejects_what_it_cannot_hold():
         line.vector(huge, F13)
     with pytest.raises(ValueError):
         line.multiples(huge, 0, F13)
+    # at most MAX_BOX monomials, counted before any is listed: 19,900 below
+    # degree 199 in two variables, 20,100 below degree 200
+    assert MonomialBox(2, 199).dim == 19_900 <= poly.MAX_BOX < 20_100
+    with pytest.raises(ValueError, match="more than 20000"):
+        MonomialBox(2, 200)
 
 
 def largest_key_base(k):
