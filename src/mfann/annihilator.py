@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import InvariantError, Rationals, SpecError
+from .fields import InvariantError, Rationals
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
 from .linalg import (Subspace, _dot_sparse, _integer_rows, dot, echelon, eliminate, eye, mod,
                      neg, scatter, zeros)
@@ -117,7 +117,10 @@ def grading(mf: MatrixFactorization):
         rows += [condition(e, unit[j] + [-x for x in unit[i]]) for e in mf.psi[i][j].terms]
     kernel = Subspace.from_vectors(QQ, spec.nvars + 2 * n, sorted(set(map(tuple, rows))))
     kernel = kernel.complement_functionals()
-    return _integer_rows(kernel).astype(np.int64)
+    try:
+        return _integer_rows(kernel).astype(np.int64)
+    except OverflowError:  # an entry degree past int64
+        raise ValueError("the weights of the grading overflow int64") from None
 
 
 def _weights(mf: MatrixFactorization, top: int):
@@ -182,7 +185,8 @@ class _System:
     top the largest degree in exps: `labels` the degrees, ascending, and
     members[d] the monomials of degree labels[d], ascending, padded with
     their count, then a row of padding alone; slot[m] is m's place in its row.
-    Only r's degrees in `blocks` (default: all) are built; `cols` their members.
+    Only `blocks`, the degrees of the monomials `served` (all if none), are
+    built; `cols` their members.
 
     The rows of G, (i', m) = m * phi[:, i'] and any more in G_entries, span
     the columns that phi*alpha can take; those of H, (j, m) =
@@ -201,7 +205,7 @@ class _System:
     r's coordinates from the rows pivoting in E'.
     """
 
-    def __init__(self, mf, exps, G_entries, H_entries, op, reduce_rows, blocks=None):
+    def __init__(self, mf, exps, G_entries, H_entries, op, reduce_rows, served=slice(None)):
         n, field = mf.n, mf.spec.field
         w, a, b, f_weight = _weights(mf, int(exps.sum(axis=1).max()))
         self.count, self.degs = len(exps), exps @ w
@@ -211,7 +215,7 @@ class _System:
         self.slot[order] = np.arange(self.count) - (np.cumsum(sizes) - sizes)[inverse[order]]
         self.members = np.full((len(sizes) + 1, sizes.max()), self.count, dtype=np.intp)
         self.members[inverse, self.slot] = np.arange(self.count)
-        self.blocks = self.labels if blocks is None else np.array(blocks, dtype=np.int64)
+        self.blocks = np.array(sorted(set(self.degs[served].tolist())) or self.labels)
         self.cols = self.members[_find(self.labels, self.blocks)]
         # degrees: G's rows (i', m) deg m - b_i', its rows (k, m) = f * m e_k
         # deg m + deg f - a_k, and H's rows (j, m) deg m + b_j + deg f
@@ -282,23 +286,24 @@ class _WitnessSearcher:
     degree <= top, where top >= D + (largest entry degree), every product
     has degree <= top, so deg(f*gamma) = deg f + deg gamma bounds gamma by
     top - deg f exactly.  Coefficients live on the MonomialBox of degree
-    <= max(top, deg f), and only the degrees in `blocks` (default: all), of
-    the r it serves, are built: r is solvable exactly when each homogeneous
-    part is.  Each r costs K r, Y r, then beta*psi and X on r*I - beta*psi.
+    <= max(top, deg f), and only the degrees of the terms of the rs it serves
+    (all if none) are built: r is solvable exactly when each homogeneous part
+    is.  Each r costs K r, Y r, then beta*psi and X on r*I - beta*psi.
     """
 
-    def __init__(self, mf: MatrixFactorization, D: int, top: int, blocks=None):
+    def __init__(self, mf: MatrixFactorization, D: int, top: int, rs):
         self.mf = mf
         spec = mf.spec
         field, n = spec.field, mf.n
         box = self.box = MonomialBox(spec.nvars, max(top, spec.f.degree()) + 1)
+        served = np.concatenate([box.locate(*box.terms(r, field)[:2]) for r in rs])
         # rows (i', m) = m * phi[:, i'] with deg m <= D, then (k, m) = f * m e_k
         gamma = max(top - spec.f.degree(), 0)
         absorbers = [[(spec.f, gamma) if i == k else None for i in range(n)] for k in range(n)]
         system = self.system = _System(
             mf, np.array(box.monos, dtype=np.int64).reshape(box.dim, -1),
             _nonzero(zip(*mf.phi), lambda e: (e, D)) + absorbers,
-            _nonzero(mf.psi, lambda e: (e, D)), lambda k: box.triplets(*k, field), False, blocks)
+            _nonzero(mf.psi, lambda e: (e, D)), lambda k: box.triplets(*k, field), False, served)
         # places in y, which holds beta[i][j] at i * n * dim + j * dim + m, and
         # in x, which holds G's rows (g, m) at g * dim + m; the last for padding
         size, H = n * n * box.dim, system.H
@@ -350,21 +355,14 @@ class _WitnessSearcher:
         return witness
 
 
-_searcher = functools.lru_cache(maxsize=64)(_WitnessSearcher)
-
-
 def _searchers(mf: MatrixFactorization, D: int, rs):
-    """The searcher of each r in rs: one per top degree, built for the
-    degrees of the terms of the rs it serves (every degree if none)."""
-    spec = mf.spec
-    if any(r.field != spec.field or r.nvars != spec.nvars for r in rs):
-        raise SpecError("polynomial not over the ring of its coefficient space")
+    """The searcher of each r in rs: one per top degree, for the rs it serves."""
     entry_degree = max(e.degree() for row in mf.phi + mf.psi for e in row)
-    tops, blocks = [max(D + entry_degree, r.degree()) for r in rs], {}
-    for r, top in zip(rs, tops):  # the weights of _System on the box of degree max(top, deg f)
-        w = _weights(mf, max(top, spec.f.degree()))[0]
-        blocks[top] = blocks.get(top, frozenset()) | {int(w @ m) for m in r.terms}
-    return [_searcher(mf, D, top, tuple(sorted(blocks[top])) or None) for top in tops]
+    tops, groups = [max(D + entry_degree, r.degree()) for r in rs], {}
+    for r, top in zip(rs, tops):
+        groups.setdefault(top, []).append(r)
+    searchers = {top: _WitnessSearcher(mf, D, top, group) for top, group in groups.items()}
+    return [searchers[top] for top in tops]
 
 
 def witness_search(mf: MatrixFactorization, r: Polynomial, D: int):
@@ -418,9 +416,6 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
                 lower.append((g, w))
                 witnessed_vectors.append(algebra.reduce(g))
         remaining = still
-    # The searchers serve this call only; keeping them afterwards would only
-    # hold memory.
-    _searcher.cache_clear()
 
     # The witnessed generators' ideal matters only once every generator has
     # a witness.

@@ -52,11 +52,8 @@ def _fmt_ideal(spec, gens):
 
 def _iter_entries(ring_id, field, n_max):
     for label, parametric in catalog_labels(ring_id):
-        if parametric:
-            for n in range(1, n_max + 1):
-                yield catalog(ring_id, label, n, field)
-        else:
-            yield catalog(ring_id, label, None, field)
+        for n in range(1, n_max + 1) if parametric else [None]:
+            yield catalog(ring_id, label, n, field)
 
 
 def _emit(args, field, ok, **sections) -> int:
@@ -122,8 +119,8 @@ def _validation_item(mf):
     return item, rep.ok
 
 
-def _validate_payload(ring_id, field, n_max):
-    items = [_validation_item(entry.mf) for entry in _iter_entries(ring_id, field, n_max)]
+def _validate_payload(entries):
+    items = [_validation_item(entry.mf) for entry in entries]
     return [item for item, _ok in items], all(ok for _item, ok in items)
 
 
@@ -141,7 +138,7 @@ def cmd_validate(args) -> int:
         item, ok = _validation_item(MatrixFactorization.from_json(data))
         payload = [item]
     elif args.selector in RING_IDS:
-        payload, ok = _validate_payload(args.selector, field, args.n_max)
+        payload, ok = _validate_payload(_iter_entries(args.selector, field, args.n_max))
     elif args.selector:
         item, ok = _validation_item(parse_selector(args.selector, field, default_n=1).mf)
         payload = [item]
@@ -256,12 +253,13 @@ def cmd_reproduce_paper(args) -> int:
     failures = []  # one line per failed check, in report order
     rings = {}
     for ring_id in RING_IDS:
-        val_entries, val_ok = _validate_payload(ring_id, field, n_max)
+        entries = list(_iter_entries(ring_id, field, n_max))
+        val_entries, val_ok = _validate_payload(entries)
         if not val_ok:
             failures.append(f"{ring_id}: validation of " + ", ".join(
                 e["label"] for e in val_entries if not e["valid"]))
         ann_entries = []
-        for entry in _iter_entries(ring_id, field, n_max):
+        for entry in entries:
             payload, ok = _ann_payload(entry, N, _witness_degree(args, entry))
             ann_entries.append(payload)
             if not ok:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .alexandrov import AnnFamily
 from .ideals import IdealSpec, ParametricIdealFamily
-from .mf import CatalogError, catalog_table, ring_spec
+from .mf import CatalogError, catalog_table, imaginary_unit, ring_spec
 
 __all__ = ["build_family"]
 
@@ -43,9 +43,8 @@ def build_family(
         raise CatalogError(f"unknown subfamily {subfamily!r}")
     members, parametric = [], []
     for label, (is_parametric, phi, psi, ann, locally_free) in catalog_table(ring_id).items():
-        if "{i}" in phi + psi and spec.field.imaginary_unit is None:
-            raise CatalogError("this catalog entry needs a square root of -1; "
-                               "the configured field has none")
+        if "{i}" in phi + psi:
+            imaginary_unit(spec.field)
         if subfamily == "cm0" and not locally_free:
             continue
         # the generators free of n: all of a finite row's

@@ -288,6 +288,14 @@ def catalog_labels(ring_id: str):
     return [(label, row[0]) for label, row in catalog_table(ring_id).items()]
 
 
+def imaginary_unit(field):
+    """The field's square root of -1, for {i} in a catalog entry; else CatalogError."""
+    if field.imaginary_unit is None:
+        raise CatalogError("this catalog entry needs a square root of -1; "
+                           "the configured field has none")
+    return field.imaginary_unit
+
+
 def catalog(ring_id: str, label: str, n: int | None = None, field=None) -> CatalogEntry:
     """Look up a catalog entry; n is required for parametric labels."""
     table = catalog_table(ring_id)
@@ -309,12 +317,7 @@ def catalog(ring_id: str, label: str, n: int | None = None, field=None) -> Catal
         mats = summed.phi, summed.psi
     else:
         if "{i}" in phi + psi:
-            if spec.field.imaginary_unit is None:
-                raise CatalogError(
-                    "this catalog entry needs a square root of -1; "
-                    "the configured field has none"
-                )
-            values["i"] = spec.field.fmt(spec.field.imaginary_unit)
+            values["i"] = spec.field.fmt(imaginary_unit(spec.field))
         mats = [tuple(tuple(spec.poly(e) for e in row.split())
                       for row in text.format(**values).split(";"))
                 for text in (phi, psi)]
@@ -337,4 +340,6 @@ def parse_selector(selector: str, field=None, default_n=None):
         if not (n.isascii() and n.isdigit()):
             raise CatalogError(f"selector query {query!r}: n must be an integer >= 1")
         n = int(n)
+        if (rest, False) in catalog_labels(ring_id):
+            raise CatalogError(f"label {rest!r} is not parametric: it takes no query {query!r}")
     return catalog(ring_id, rest, n, field)

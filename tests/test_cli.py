@@ -70,13 +70,17 @@ def test_field_above_int64_bound_exit_one(capsys):
     (("ann", "a-inf-1/R/xR", "-N", "2000000"), ("overflow", "2000000")),
     (("ann", "a-inf-1/phi?n=100000000"), ("overflow",)),
     (("ann", "a-inf-1/R/xR", "-N", "100000"), ("more than 20000", "100000")),
-    (("ann", "a-inf-1/phi?n=5000"), ("more than 20000",))],
-    ids=["truncation-order", "entry-degree", "truncation-box", "entry-box"])
+    (("ann", "a-inf-1/phi?n=5000"), ("more than 20000",)),
+    (("ann", "a-inf-1/phi?n=9223372036854775808"), ("grading", "overflow int64")),
+    (("double", "a-inf-1/phi?n=9223372036854775808"), ("grading", "overflow int64"))],
+    ids=["truncation-order", "entry-degree", "truncation-box", "entry-box",
+         "entry-degree-2^63", "double-entry-degree-2^63"])
 def test_oversized_monomial_box_exit_one_at_once(capsys, argv, named):
     # R_N, or the witness search for an entry of degree 10^8, needs graded-lex
     # keys past int64, and R_100000 or the search for an entry of degree 5000
     # billions of monomials: the monomial box refuses before listing a
-    # monomial, and an oversized truncation order is named as the user gave it
+    # monomial, and an oversized truncation order is named as the user gave it;
+    # an entry of degree 2^63 already gives the grading weights past int64
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
@@ -118,6 +122,8 @@ def test_invariant_failure_exit_three(capsys, monkeypatch):
 def test_unknown_selector_exit_one(capsys):
     code, _out, _err = run(capsys, "ann", "a-inf-1/zeta?n=1")
     assert code == 1
+    code, _out, err = run(capsys, "ann", "a-inf-1/R/xR?n=3")  # a finite label takes no n
+    assert code == 1 and "not parametric" in err
     code, _out, _err = run(capsys, "frobnicate")
     assert code == 1
 

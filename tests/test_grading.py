@@ -191,14 +191,12 @@ def factorizations(draw):
 
 
 def results(mf, rs):
-    annihilator._searcher.cache_clear()
     out = [annihilator_truncated(mf, N) for N in (1, 2, 5)]
     out += [membership_truncated(mf, r, 5) for r in rs]
     for D in (0, 1):
         for r in rs:
             w = witness_search(mf, r, D)
             out.append(None if w is None else (w.alpha, w.beta, w.gamma))
-    annihilator._searcher.cache_clear()
     return out
 
 
@@ -227,14 +225,12 @@ def term_degrees(searcher, r):
 def test_a_searcher_refuses_a_term_outside_its_degrees():
     mf = catalog("a-inf-1", "phi", 2, F13).mf
     x, other = mf.spec.poly("x"), mf.spec.poly("x + y^3")
-    annihilator._searcher.cache_clear()
     searcher = annihilator._searchers(mf, 2, [x])[0]
     assert len(searcher.system.Y) == 1
     assert term_degrees(searcher, other) - term_degrees(searcher, x)
     assert searcher.search(x) is not None
     with pytest.raises(InvariantError, match="outside the degrees"):
         searcher.search(other)
-    annihilator._searcher.cache_clear()
 
 
 def test_annihilate_builds_one_block_per_generator_degree():
@@ -250,7 +246,6 @@ def test_annihilate_builds_one_block_per_generator_degree():
         served.setdefault(searcher, []).append(r)
         return search(searcher, r)
 
-    annihilator._searcher.cache_clear()
     with mock.patch.object(annihilator, "_System", build), \
             mock.patch.object(annihilator._WitnessSearcher, "search", record):
         result = annihilate(mf, N=10, D=7)
@@ -337,7 +332,8 @@ TRIPLET_CASES = [("a-inf-1", "phi", 2), ("d-inf-1", "gamma", 2), ("d-inf-1", "R/
 def test_blocks_scattered_from_triplets_equal_the_dense_gather(field, ring_id, label, n, form):
     # under weights that grade nothing (the x-degree alone, every shift 0),
     # terms between unequal degrees are dropped, as the gather drops them
-    mf = catalog(ring_id, label, n, field).mf
+    entry = catalog(ring_id, label, n, field)
+    mf = entry.mf
     if form == "conjugate" and mf.n > 1:
         mf = elementary_conjugate(mf)
         assert validate(mf).ok
@@ -350,9 +346,10 @@ def test_blocks_scattered_from_triplets_equal_the_dense_gather(field, ring_id, l
         assert_blocks_match_gather(lambda: annihilator_truncated(mf, N),
                                    lambda _: algebra.multiples)
         entry_degree = max(e.degree() for row in mf.phi + mf.psi for e in row)
-        for blocks in (None, (0,)):
+        # r = 0 serves every degree, a generator its own degrees
+        for r in (Polynomial.zero(field, mf.spec.nvars), entry.expected_annihilator.generators[0]):
             assert_blocks_match_gather(
-                lambda: annihilator._WitnessSearcher(mf, D, D + entry_degree, blocks),
+                lambda: annihilator._WitnessSearcher(mf, D, D + entry_degree, [r]),
                 lambda searcher: lambda key: searcher.box.multiples(*key, field))
 
 

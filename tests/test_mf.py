@@ -117,6 +117,11 @@ def test_parse_selector():
         parse_selector("no-slash", F13)
     with pytest.raises(CatalogError):
         parse_selector("a-inf-1/phi?k=2", F13)
+    with pytest.raises(CatalogError, match="not parametric"):
+        parse_selector("a-inf-1/R/xR?n=3", F13)
+    # the default n that validate and double pass is dropped for a finite label
+    assert parse_selector("a-inf-1/R/xR", F13, default_n=1).mf.label == "a-inf-1/R/xR"
+    assert parse_selector("a-inf-1/phi", F13, default_n=1).n == 1
 
 
 def test_locally_free_flag():
