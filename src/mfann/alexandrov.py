@@ -29,6 +29,11 @@ from .truncation import RingSpec, SpecError, build_truncation
 
 __all__ = ["AnnFamily", "AlexandrovVerdict", "build_preorder", "compactness_verdict"]
 
+# members of an expanded family; about 5x the largest family of
+# reproduce-paper --n-max 12 (53 members of each d-inf ring), since the
+# preorder and its report grow with the square of the members
+MAX_MEMBERS = 256
+
 
 @dataclass(frozen=True)
 class AnnFamily:
@@ -50,7 +55,12 @@ class AnnFamily:
                 raise SpecError("limit candidate over a different ring")
 
     def expanded(self, n_max: int):
-        """All members including parametric instantiations, labeled."""
+        """All members including parametric instantiations, labeled;
+        ValueError, before any instance is built, past MAX_MEMBERS."""
+        count = len(self.members) + len(self.parametric) * n_max
+        if count > MAX_MEMBERS:
+            raise ValueError(f"{count} family members at n_max = {n_max}, "
+                             f"more than {MAX_MEMBERS}")
         out = list(self.members)
         for label, fam, _limit in self.parametric:
             for n in range(1, n_max + 1):
@@ -62,8 +72,8 @@ def _truncations(family: AnnFamily, n_max: int):
     """R_N, the labeled members and their truncated subspaces by label."""
     if not family.members and not family.parametric:
         raise SpecError("empty family")
-    algebra = build_truncation(family.ring, family.N)
     labeled = family.expanded(n_max)
+    algebra = build_truncation(family.ring, family.N)
     seen = set()
     for lab, _ideal in labeled:
         if lab in seen:

@@ -27,15 +27,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import InvariantError, Rationals
+from .fields import InvariantError
 from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
-from .linalg import (Subspace, _dot_sparse, _integer_rows, dot, echelon, eliminate, eye, mod,
+from .linalg import (Subspace, _dot_sparse, dot, echelon, eliminate, eye, mod,
                      neg, scatter, zeros)
 from .mf import MatrixFactorization, poly_mat_mul
 from .poly import MonomialBox, Polynomial, grlex_key
-from .truncation import build_truncation
-
-QQ = Rationals()
+from .truncation import build_truncation, degree_blocks, gradings, mixed_radix
 
 __all__ = [
     "Witness",
@@ -104,39 +102,20 @@ def grading(mf: MatrixFactorization):
     deg f + b_j - a_k, for a weight w per variable.  Since m^N is a
     monomial ideal, each system below splits by degree under them; without
     a grading (no row with w nonzero) it is one block."""
-    spec, n = mf.spec, mf.n
-    e0 = next(iter(spec.f.terms))
+    n = mf.n
     unit = np.eye(n, dtype=int).tolist()
-
-    def condition(e, shift, sign=1):  # w.e - sign * w.e0 + shift . (a, b) = 0
-        return [x - sign * y for x, y in zip(e, e0)] + shift
-
-    rows = [condition(e, [0] * 2 * n) for e in spec.f.terms]
+    conditions = []  # (e, shift, sign): w.e - sign * deg f + shift . (a, b) = 0
     for i, j in itertools.product(range(n), repeat=2):
-        rows += [condition(e, [-x for x in unit[i]] + unit[j], 0) for e in mf.phi[i][j].terms]
-        rows += [condition(e, unit[j] + [-x for x in unit[i]]) for e in mf.psi[i][j].terms]
-    kernel = Subspace.from_vectors(QQ, spec.nvars + 2 * n, sorted(set(map(tuple, rows))))
-    kernel = kernel.complement_functionals()
-    try:
-        return _integer_rows(kernel).astype(np.int64)
-    except OverflowError:  # an entry degree past int64
-        raise ValueError("the weights of the grading overflow int64") from None
+        conditions += [(e, [-x for x in unit[i]] + unit[j], 0) for e in mf.phi[i][j].terms]
+        conditions += [(e, unit[j] + [-x for x in unit[i]], 1) for e in mf.psi[i][j].terms]
+    return gradings(mf.spec.f, conditions, 2 * n)
 
 
 def _weights(mf: MatrixFactorization, top: int):
     """(w, a, b, deg f) of one grading: the rows of grading(mf) in mixed
-    radix, each radix above twice any degree in its row of a monomial of
-    degree <= top plus a few shifts, so that such degrees agree exactly
-    when their vectors do.  Rows past 2^40 are dropped: coarser, still a
-    grading."""
+    radix, for the monomials of degree <= top."""
     n, v = mf.n, mf.spec.nvars
-    total, scale = np.zeros(v + 2 * n, dtype=np.int64), 1
-    for row in grading(mf):
-        radix = 2 * int(np.abs(row).max()) * (top + mf.spec.f.degree() + 4) + 1
-        if scale * radix > 2**40:
-            break
-        total += scale * row
-        scale *= radix
+    total = mixed_radix(grading(mf), top, mf.spec.f)
     w = total[:v]
     return w, total[v:v + n], total[v + n:], int(w @ next(iter(mf.spec.f.terms)))
 
@@ -209,12 +188,7 @@ class _System:
         n, field = mf.n, mf.spec.field
         w, a, b, f_weight = _weights(mf, int(exps.sum(axis=1).max()))
         self.count, self.degs = len(exps), exps @ w
-        self.labels, inverse, sizes = np.unique(self.degs, return_inverse=True, return_counts=True)
-        order = np.argsort(inverse, kind="stable")
-        self.slot = np.empty(self.count, dtype=np.intp)
-        self.slot[order] = np.arange(self.count) - (np.cumsum(sizes) - sizes)[inverse[order]]
-        self.members = np.full((len(sizes) + 1, sizes.max()), self.count, dtype=np.intp)
-        self.members[inverse, self.slot] = np.arange(self.count)
+        self.labels, self.slot, self.members = degree_blocks(self.degs)
         self.blocks = np.array(sorted(set(self.degs[served].tolist())) or self.labels)
         self.cols = self.members[_find(self.labels, self.blocks)]
         # degrees: G's rows (i', m) deg m - b_i', its rows (k, m) = f * m e_k

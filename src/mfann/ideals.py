@@ -216,9 +216,8 @@ def is_m_primary(ideal: IdealSpec, N_max: int) -> MPrimaryResult:
         space = truncate_ideal(ideal, algebra)
         colengths.append(algebra.dim - space.dim)
         if len(colengths) >= 3 and colengths[-1] == colengths[-2] == colengths[-3]:
-            # certificate: every degree-(N-1) monomial reduces into the ideal;
-            # the reduction table holds reduce(m) at m's index in the box
-            if space.contains(algebra.table[np.flatnonzero(algebra.box.degs == N - 1)]):
+            # certificate: every degree-(N-1) monomial reduces into the ideal
+            if space.contains(algebra.reductions(np.flatnonzero(algebra.box.degs == N - 1))):
                 return MPrimaryResult("m-primary", colengths[-1], tuple(colengths))
             return MPrimaryResult("undetermined", None, tuple(colengths))
     if all(b > a for a, b in zip(colengths, colengths[1:])):

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpecError, field_from_config, field_to_config, json_check, json_item
-from .linalg import Subspace, mod, neg, scatter, zeros
+from .fields import Rationals, SpecError, field_from_config, field_to_config, json_check, json_item
+from .linalg import Subspace, _integer_rows, echelon, mod, neg, scatter, zeros
 from .poly import MonomialBox, Polynomial, parse_poly
+
+QQ = Rationals()
 
 
 @dataclass(frozen=True)
@@ -68,20 +70,77 @@ class RingSpec:
         return cls(variables, f, field)
 
 
+def gradings(f: Polynomial, conditions=(), shifts: int = 0):
+    """An integer basis, a row (w, s) each, of the rational solutions of: f
+    is w-homogeneous, and w.e + t.s = sign * w.e0 for every condition
+    (e, t, sign), for a weight w per variable, `shifts` more unknowns s and
+    e0 a term of f.  ValueError if a row overflows int64."""
+    e0 = next(iter(f.terms))
+
+    def condition(e, shift, sign):  # w.e - sign * w.e0 + shift . s = 0
+        return [x - sign * y for x, y in zip(e, e0)] + shift
+
+    rows = [condition(e, [0] * shifts, 1) for e in f.terms] + [condition(*c) for c in conditions]
+    kernel = Subspace.from_vectors(QQ, f.nvars + shifts, sorted(set(map(tuple, rows))))
+    try:
+        return _integer_rows(kernel.complement_functionals()).astype(np.int64)
+    except OverflowError:  # an entry degree past int64
+        raise ValueError("the weights of the grading overflow int64") from None
+
+
+def mixed_radix(rows, top: int, f: Polynomial):
+    """The gradings (rows) as one, in mixed radix: each radix above twice
+    any degree in its row of a monomial of degree <= top plus a few shifts,
+    so that such degrees agree exactly when their vectors do.  Rows past
+    2^40 are dropped: coarser, still a grading."""
+    total, scale = np.zeros(rows.shape[1], dtype=np.int64), 1
+    for row in rows:
+        radix = 2 * int(np.abs(row).max()) * (top + f.degree() + 4) + 1
+        if scale * radix > 2**40:
+            break
+        total += scale * row
+        scale *= radix
+    return total
+
+
+def degree_blocks(degs):
+    """The indices of degs by degree: (labels, slot, members), labels the
+    distinct degrees, ascending, and members[b] the indices of degree
+    labels[b], ascending, padded with len(degs), then a row of padding
+    alone; slot[m] is m's place in its row."""
+    labels, inverse, sizes = np.unique(degs, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse, kind="stable")
+    slot = np.empty(len(degs), dtype=np.intp)
+    slot[order] = np.arange(len(degs)) - (np.cumsum(sizes) - sizes)[inverse[order]]
+    members = np.full((len(sizes) + 1, sizes.max(initial=0)), len(degs), dtype=np.intp)
+    members[inverse, slot] = np.arange(len(degs))
+    return labels, slot, members
+
+
 class TruncatedAlgebra:
     """R_N with an explicit standard-monomial basis and exact reduction.
 
-    Every monomial of degree < N owns one row of a dense reduction table, at
-    its index in the MonomialBox of degree < N: its coordinate vector over
+    Every monomial of degree < N owns one row of a reduction table, at its
+    index in the MonomialBox of degree < N: reduce(m), its coordinates over
     the standard basis (a unit row for a standard monomial); the box's index
-    dim, for every monomial of degree >= N, is the zero row.  Keys and
-    degrees are linear in the exponents, so the product of two monomials is
-    located from the sums of theirs, without forming its exponents.  Multiplying
-    by a polynomial gathers the nonzero entries of the shifted rows, through
-    the table's support mask, and scales those whose coefficient is not 1:
-    no arithmetic on a zero entry, and no multiplication for a coefficient
-    1.  They are handed out as triplets (row, column, value), which the
-    graded systems scatter-add straight into their blocks.
+    dim, for every monomial of degree >= N, is the empty row.  The table is
+    row-compressed, one stored entry per nonzero: row m holds the columns
+    cols[indptr[m]:indptr[m + 1]], ascending, and their values in vals; no
+    row holds more than width.  Keys and degrees are linear in the
+    exponents, so the product of two monomials is located from the sums of
+    theirs, without forming its exponents.  Multiplying by a polynomial
+    gathers the stored entries of the shifted rows and scales those whose
+    coefficient is not 1: no arithmetic on a zero entry, and no
+    multiplication for a coefficient 1.  They are handed out as triplets
+    (row, column, value), which the graded systems scatter-add straight
+    into their blocks.
+
+    The relations u * f truncated below degree N are homogeneous under the
+    weights of f, since m^N is a monomial ideal, and are reduced as one
+    stack of blocks, one per degree (one block if f has no grading).  The
+    reduced form of a block-diagonal matrix is the union of its blocks'
+    reduced forms, so the basis and reduce(m) are those of reducing every
+    relation at once.
     """
 
     def __init__(self, spec: RingSpec, N: int):
@@ -89,30 +148,47 @@ class TruncatedAlgebra:
             raise SpecError("truncation order must be >= 1")
         self.spec = spec
         self.N = N
-        field = spec.field
+        field, f = spec.field, spec.f
         box = self.box = MonomialBox(spec.nvars, N)
-        n = box.dim  # index n, for every monomial of degree >= N, is the zero row
+        n = box.dim  # index n, for every monomial of degree >= N, is the empty row
 
-        # Terms of f of degree >= N only ever land on the zero row.  The
+        w = mixed_radix(gradings(f), N - 1, f)
+        degs = np.array(box.monos, dtype=np.int64).reshape(n, -1) @ w
+        labels, slot, members = degree_blocks(degs)
+        # Terms of f of degree >= N only ever land on the empty row.  The
         # multipliers of f, of degree < N - min deg f, are the first u
-        # monomials.
-        f_keys, f_degs, f_coeffs = box.terms(spec.f, field)
-        u = np.searchsorted(box.degs, N - spec.f.min_degree())
-        rel = zeros((u, n + 1), field)
-        rel[np.arange(u)[:, None],
-            box.locate(box.keys[:u, None] + f_keys, box.degs[:u, None] + f_degs)] = f_coeffs
+        # monomials; the relation of multiplier k lies in the block of degree
+        # degs[k] + deg f, at k's slot in its own degree.
+        f_keys, f_degs, f_coeffs = box.terms(f, field)
+        u = np.searchsorted(box.degs, N - f.min_degree())
+        at = box.locate(box.keys[:u, None] + f_keys, box.degs[:u, None] + f_degs)
+        block = np.searchsorted(labels, degs[:u] + w @ next(iter(f.terms)))
+        k, t = np.nonzero(at < n)
+        width = members.shape[1]
+        stack = zeros((len(labels), width, width), field)
+        stack[block[k], slot[k], slot[at[k, t]]] = f_coeffs[t]
         # Columns descending, so row reduction pivots on the largest monomial
-        # of each relation and keeps the small monomials standard.
-        relations = Subspace.from_vectors(field, n, rel[:, n - 1::-1])
-        pivot_rows = n - 1 - np.array(relations.pivots, dtype=np.int64)
-        standard = np.delete(np.arange(n), pivot_rows)
-        self.basis = [box.monos[i] for i in standard]
-        self._basis_keys, self._basis_degs = box.keys[standard], box.degs[standard]
-        d = len(standard)
-        self.table = zeros((n + 1, d), field)
-        self.table[standard, np.arange(d)] = field.one
-        self.table[pivot_rows] = neg(relations.basis[:, n - 1 - standard], field)
-        self._support = self.table.astype(bool)
+        # of each relation and keeps the small monomials standard: column c
+        # of block b is the monomial cols[b, c].
+        cols = members[:-1, ::-1]
+        R, pivots = echelon(stack[..., ::-1], field)
+        b, r = np.nonzero(pivots >= 0)
+        standard = np.ones(n + 1, dtype=bool)
+        standard[cols[b, pivots[b, r]]] = False
+        standard[n] = False  # the padding of the blocks
+        basis_at = standard.nonzero()[0]
+        self.basis = [box.monos[i] for i in basis_at]
+        self._basis_keys, self._basis_degs = box.keys[basis_at], box.degs[basis_at]
+        # a leading monomial reduces to minus the rest of its reduced relation
+        b, r, c = np.nonzero((R != 0) & standard[cols][:, None])
+        rows = np.concatenate([basis_at, cols[b, pivots[b, r]]])
+        columns = (np.cumsum(standard) - 1)[np.concatenate([basis_at, cols[b, c]])]
+        order = np.lexsort((columns, rows))
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n + 1))])
+        self.cols = columns[order]
+        self.vals = np.concatenate([np.full(basis_at.size, field.one, dtype=R.dtype),
+                                    neg(R[b, r, c], field)])[order]
+        self.width = int(np.diff(self.indptr).max())
 
     @property
     def dim(self):
@@ -125,6 +201,11 @@ class TruncatedAlgebra:
     def reduce(self, p: Polynomial):
         """Coordinate vector of p in R_N (exact), as an array."""
         return scatter(self.dim, self.field, *self.triplets(p, 1)[1:])  # basis[0] is 1
+
+    def reductions(self, at):
+        """Rows reduce(m) for the monomials m at these indices of the box."""
+        (k,), i, vals = self._entries(at)
+        return scatter((len(at), self.dim), self.field, k, i, vals)
 
     def lift(self, coords) -> Polynomial:
         """The standard-monomial representative with the given coordinates."""
@@ -141,20 +222,27 @@ class TruncatedAlgebra:
     def triplets(self, p: Polynomial, count=None):
         """The multiples by the first count basis monomials (default: all)
         as triplets (j, i, value), the values at (j, i) adding up to
-        multiples(p)[j, i]: over the terms c x^e of p, c * table[row of
-        e + basis[j]], from the nonzero table entries alone."""
+        multiples(p)[j, i]: over the terms c x^e of p, c * the stored
+        entries of the table row of e + basis[j]."""
         field = self.field
         box = self.box
         keys, degs, coeffs = box.terms(p, field)
         rows = box.locate(keys[:, None] + self._basis_keys[:count],  # term x basis
                           degs[:, None] + self._basis_degs[:count])
-        # flat positions: np.nonzero of the 3-d mask is an order slower
-        mask = self._support[rows]
-        t, j, i = np.unravel_index(np.flatnonzero(mask), mask.shape)
-        vals = self.table[rows[t, j], i]
+        (t, j), i, vals = self._entries(rows)
         scale = (coeffs != field.one)[t]
         vals[scale] = mod(vals[scale] * coeffs[t[scale]], field)
         return j, i, vals
+
+    def _entries(self, rows):
+        """The stored entries of the table rows `rows` (an array), in order:
+        the index of each entry's row in `rows` (a tuple), its column, and
+        its value, copied."""
+        start = self.indptr[rows]
+        stored = np.arange(self.width) < (self.indptr[rows + 1] - start)[..., None]
+        *index, at = np.unravel_index(np.flatnonzero(stored), stored.shape)
+        at += start[tuple(index)]
+        return index, self.cols[at], self.vals[at]
 
 
 @functools.lru_cache(maxsize=128)

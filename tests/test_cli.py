@@ -89,6 +89,17 @@ def test_oversized_monomial_box_exit_one_at_once(capsys, argv, named):
     assert time.perf_counter() - start < 10
 
 
+def test_oversized_family_exit_one_at_once(capsys):
+    # the preorder of a family grows faster than the square of its members:
+    # 100001 members are refused before any instance is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "topology", "a-inf-1", "-N", "8", "--n-max", "100000")
+    assert code == 1 and out == ""
+    assert "100001 family members" in err and "more than 256" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert time.perf_counter() - start < 5
+
+
 def test_memory_error_exit_one(capsys, monkeypatch):
     from mfann import cli
 

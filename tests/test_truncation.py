@@ -3,7 +3,9 @@
 Dimension values are frozen from an independent in-test oracle: count
 monomials of degree < N and subtract the rank of the relation matrix
 {u * f truncated below N}, computed here by plain fraction-free Gaussian
-elimination over Q, not by the package's own row reduction.
+elimination over Q, not by the package's own row reduction.  The basis,
+the reduction of every monomial and the order of the triplets are checked
+against a plain Gauss-Jordan elimination on dicts in field arithmetic.
 """
 
 from fractions import Fraction
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
-from mfann.poly import Polynomial, grlex_key, monomials_below, parse_poly
-from mfann.truncation import RingSpec, SpecError, build_truncation
+from mfann.mf import RING_IDS, ring_spec
+from mfann.poly import Polynomial, grlex_key, mono_mul, monomials_below, parse_poly
+from mfann.truncation import RingSpec, SpecError, build_truncation, gradings
 
 F13 = PrimeField(13, 5)
 FIELDS = {"F13": F13, "F_2^31-1": PrimeField(2**31 - 1), "Q": Rationals()}
@@ -235,7 +238,7 @@ def test_results_never_alias_the_table(name):
     field = FIELDS[name]
     spec = ring(("x", "y", "z"), "x^2*y+z^2", field)
     algebra = build_truncation(spec, 5)
-    table = algebra.table.copy()
+    table = [a.copy() for a in (algebra.indptr, algebra.cols, algebra.vals)]
     p = spec.poly("x + y^2 + 1")
     M, v = algebra.multiples(p), algebra.reduce(p)
     expected_M, expected_v = M.copy(), v.copy()
@@ -244,6 +247,82 @@ def test_results_never_alias_the_table(name):
         algebra.reduce(x)[:] = field.coerce(7)
     M[:] = field.coerce(7)
     v[:] = field.coerce(7)
-    assert np.array_equal(algebra.table, table)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        (algebra.indptr, algebra.cols, algebra.vals), table))
     assert np.array_equal(algebra.multiples(p), expected_M)
     assert np.array_equal(algebra.reduce(p), expected_v)
+
+
+def reference_truncation(spec, N):
+    """(basis, reductions) of R_N by plain Gauss-Jordan elimination of the
+    relations u * f truncated below degree N, in field arithmetic on dicts,
+    the columns in descending graded-lex order: the standard monomials,
+    ascending, and the coordinates of every monomial of degree < N."""
+    field = spec.field
+    monos = monomials_below(spec.nvars, N)[::-1]
+    reduced = {}  # pivot column -> its reduced row, {column: value}
+
+    def minus(row, c, other):  # row - c * other, zeros dropped
+        out = dict(row)
+        for k, v in other.items():
+            out[k] = field.sub(out.get(k, field.zero), field.mul(c, v))
+        return {k: v for k, v in out.items() if v != field.zero}
+
+    for u in monos:
+        prod = (Polynomial.from_monomial(field, u) * spec.f).truncate(N)
+        row = {monos.index(m): c for m, c in prod.terms.items()}
+        for pivot, other in reduced.items():
+            if pivot in row:
+                row = minus(row, row[pivot], other)
+        if row:
+            pivot = min(row)  # the largest monomial
+            inv = field.inv(row[pivot])
+            row = {k: field.mul(v, inv) for k, v in row.items()}
+            reduced = {p: minus(r, r[pivot], row) if pivot in r else r
+                       for p, r in reduced.items()}
+            reduced[pivot] = row
+    basis = sorted((m for k, m in enumerate(monos) if k not in reduced), key=grlex_key)
+    reductions = {}
+    for k, m in enumerate(monos):
+        row = reduced.get(k, {})
+        reductions[m] = [field.one if b == m else field.neg(row.get(monos.index(b), field.zero))
+                         for b in basis]
+    return basis, reductions
+
+
+# the four catalog rings, each graded by two weights, and an f with no
+# grading, whose relations are reduced as one block
+ORACLE_RINGS = list(RING_IDS) + ["x^2+y^3+x*y^2"]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("key", ORACLE_RINGS)
+def test_reduction_table_matches_plain_elimination(name, key):
+    field = FIELDS[name]
+    spec = ring_spec(key, field) if key in RING_IDS else ring(("x", "y"), key, field)
+    assert len(gradings(spec.f)) == (2 if key in RING_IDS else 0)
+    for N in (1, 2, 7):
+        algebra = build_truncation(spec, N)
+        basis, reductions = reference_truncation(spec, N)
+        assert algebra.basis == basis
+        rows = algebra.reductions(np.arange(algebra.box.dim))
+        for m, row in zip(algebra.box.monos, rows):
+            assert row.tolist() == reductions[m]
+            assert algebra.reduce(Polynomial.from_monomial(field, m)).tolist() == reductions[m]
+        # the triplets of p come term by term, then by multiplier, then by column
+        p = Polynomial(field, spec.nvars, {m: field.coerce(k + 1) for k, m in
+                                           enumerate(monomials_below(spec.nvars, 3))})
+        expected = [(j, i, field.mul(c, v)) for m, c in p.terms.items() if sum(m) < N
+                    for j, b in enumerate(basis) if sum(m) + sum(b) < N
+                    for i, v in enumerate(reductions[mono_mul(m, b)]) if v != field.zero]
+        assert list(zip(*algebra.triplets(p))) == expected
+
+
+def test_reduction_table_stores_only_its_nonzeros():
+    # R_24 of a-inf-2: 2,600 nonzeros among the 2,601 x 576 entries of a
+    # dense table, which would take 12 MB
+    algebra = build_truncation(ring_spec("a-inf-2", F13), 24)
+    assert (algebra.box.dim, algebra.dim, algebra.vals.size) == (2600, 576, 2600)
+    arrays = [a for obj in (algebra, algebra.box) for a in vars(obj).values()
+              if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 200_000
