@@ -33,7 +33,7 @@ from .linalg import (Subspace, _dot_sparse, dot, echelon, eliminate, eye, mod,
                      neg, scatter, zeros)
 from .mf import MatrixFactorization, poly_mat_mul
 from .poly import MonomialBox, Polynomial, grlex_key
-from .truncation import build_truncation, degree_blocks, gradings, mixed_radix
+from .truncation import Degrees, _find, _Graded, build_truncation, gradings, mixed_radix
 
 __all__ = [
     "Witness",
@@ -111,61 +111,13 @@ def grading(mf: MatrixFactorization):
     return gradings(mf.spec.f, conditions, 2 * n)
 
 
-def _weights(mf: MatrixFactorization, top: int):
-    """(w, a, b, deg f) of one grading: the rows of grading(mf) in mixed
-    radix, for the monomials of degree <= top."""
-    n, v = mf.n, mf.spec.nvars
-    total = mixed_radix(grading(mf), top, mf.spec.f)
-    w = total[:v]
-    return w, total[v:v + n], total[v + n:], int(w @ next(iter(mf.spec.f.terms)))
-
-
-def _find(labels, values):
-    """The index of each value in the ascending labels, len(labels) if absent."""
-    at = np.searchsorted(labels, values).clip(max=len(labels) - 1)
-    return np.where(labels[at] == values, at, len(labels))
-
-
-class _Graded:
-    """The blocks of the matrix with rows (g, m), of degree deg m -
-    row_shift[g], columns (i, m'), of degree deg m' - col_shift[i], and
-    entry the sum of the values of the triplets (m, m', value) of
-    op(entries[g][i]) (None is zero), kept only between equal degrees: one
-    block per column degree d - col_shift[i], d in degrees.blocks, in
-    `labels`, scattered into `stack` (blocks x groups * width x columns *
-    width, m at its slot), and row_at, col_at their places g * count + m,
-    or groups * count for padding."""
-
-    def __init__(self, degrees, entries, op, row_shift, col_shift, field):
-        # the distinct labels, ascending: np.unique would import numpy.ma, for 20 ms
-        self.labels = np.array(sorted(set((degrees.blocks[:, None] - col_shift).ravel().tolist())))
-        rows, cols = (degrees.members[_find(degrees.labels, self.labels[:, None] + shift)]
-                      for shift in (row_shift, col_shift))
-        self.row_at, self.col_at = (np.where(
-            m < degrees.count, np.arange(m.shape[1])[:, None] * degrees.count + m,
-            m.shape[1] * degrees.count).reshape(len(m), m[0].size) for m in (rows, cols))
-        op = functools.cache(op)  # once per distinct key
-        g, i, m, m2, values = zip(*((g, i, *op(e)) for g, row in enumerate(entries)
-                                    for i, e in enumerate(row) if e is not None))
-        g, i = (np.repeat(k, list(map(len, m))) for k in (g, i))
-        m, m2, values = map(np.concatenate, (m, m2, values))
-        label, width = degrees.degs[m] - row_shift[g], degrees.members.shape[1]
-        block = _find(self.labels, label)
-        keep = (block < len(self.labels)) & (label == degrees.degs[m2] - col_shift[i])
-        self.stack = scatter((len(self.labels), rows[0].size, cols[0].size), field, *(
-            x[keep] for x in (block, g * width + degrees.slot[m], i * width + degrees.slot[m2],
-                              values)))
-
-
-class _System:
+class _System(Degrees):
     """The system over monomials (the rows of exps: R_N's basis, or a box
     for exact coefficients), op(e) the triplets (m, m', c) of e * m = sum c m'
-    for the keys e of the entries, split by the degree of _weights(mf, top),
-    top the largest degree in exps: `labels` the degrees, ascending, and
-    members[d] the monomials of degree labels[d], ascending, padded with
-    their count, then a row of padding alone; slot[m] is m's place in its row.
-    Only `blocks`, the degrees of the monomials `served` (all if none), are
-    built; `cols` their members.
+    for the keys e of the entries, laid out by their degree under w, where
+    (w, a, b) are the rows of grading(mf) in mixed radix for the monomials
+    of degree <= top, the largest degree in exps.  Only `blocks`, the
+    degrees of the monomials `served` (all if none), are built.
 
     The rows of G, (i', m) = m * phi[:, i'] and any more in G_entries, span
     the columns that phi*alpha can take; those of H, (j, m) =
@@ -185,12 +137,11 @@ class _System:
     """
 
     def __init__(self, mf, exps, G_entries, H_entries, op, reduce_rows, served=slice(None)):
-        n, field = mf.n, mf.spec.field
-        w, a, b, f_weight = _weights(mf, int(exps.sum(axis=1).max()))
-        self.count, self.degs = len(exps), exps @ w
-        self.labels, self.slot, self.members = degree_blocks(self.degs)
-        self.blocks = np.array(sorted(set(self.degs[served].tolist())) or self.labels)
-        self.cols = self.members[_find(self.labels, self.blocks)]
+        n, v, f, field = mf.n, mf.spec.nvars, mf.spec.f, mf.spec.field
+        total = mixed_radix(grading(mf), int(exps.sum(axis=1).max()), f)
+        w, a, b = total[:v], total[v:v + n], total[v + n:]
+        f_weight = w @ next(iter(f.terms))
+        super().__init__(exps @ w, served)
         # degrees: G's rows (i', m) deg m - b_i', its rows (k, m) = f * m e_k
         # deg m + deg f - a_k, and H's rows (j, m) deg m + b_j + deg f
         G = self.G = _Graded(self, G_entries, op, np.r_[b, a - f_weight][:len(G_entries)], a,

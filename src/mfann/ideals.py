@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import InvariantError
-from .linalg import Subspace, as_array, solve, zeros
+from .linalg import Subspace, as_array, echelon, solve, zeros
 from .poly import Polynomial, monomials_upto
-from .truncation import RingSpec, SpecError, TruncatedAlgebra, build_truncation
+from .truncation import Degrees, RingSpec, SpecError, TruncatedAlgebra, _Graded, build_truncation
 
 __all__ = [
     "IdealSpec",
@@ -73,26 +73,35 @@ class ParametricIdealFamily:
 
 
 def _span_of_multiples(polys, algebra: TruncatedAlgebra) -> Subspace:
-    """Subspace of R_N spanned by p * b over the given p and basis monomials b."""
-    rows = [algebra.multiples(p) for p in polys]
-    return Subspace.from_vectors(algebra.field, algebra.dim, np.vstack(rows) if rows else [])
+    """Subspace of R_N spanned by p * b over the given p and basis monomials b.
+
+    The rows (p, b) are scattered from algebra.triplets into one stack and
+    reduced at once: one block per degree of R_N's weights if every p is
+    homogeneous under them, since reduce(p * b) then has degree deg p +
+    deg b, otherwise one block, every shift 0.
+    """
+    field, dim = algebra.field, algebra.dim
+    if not polys:
+        return Subspace.zero_space(field, dim)
+    degs = [set((np.array(list(p.terms)) @ algebra.weights).tolist()) for p in polys]
+    graded = all(len(d) == 1 for d in degs)
+    span = _Graded(algebra.degrees if graded else Degrees(np.zeros(dim, dtype=np.int64)),
+                   [[p] for p in polys], algebra.triplets,
+                   np.array([-d.pop() if graded else 0 for d in degs]), np.zeros(1, int), field)
+    return Subspace.from_blocks(field, dim, *echelon(span.stack, field), span.col_at)
 
 
+@functools.lru_cache(maxsize=32)
 def truncate_ideal(ideal: IdealSpec, algebra: TruncatedAlgebra) -> Subspace:
     """Subspace of R_N spanned by {reduce(g * b) : g generator, b basis monomial}.
 
     Every layer asks for the truncations it needs; repeats come from a
-    bounded memo keyed by generator tuple and algebra, so callers share the
-    returned subspace, whose basis is read-only.
+    bounded memo keyed by ideal and R_N, so callers share the returned
+    subspace, whose basis is read-only.
     """
     if ideal.spec != algebra.spec:
         raise SpecError("ideal and algebra are over different rings")
-    return _truncation(ideal.generators, algebra)
-
-
-@functools.lru_cache(maxsize=32)
-def _truncation(generators: tuple, algebra: TruncatedAlgebra) -> Subspace:
-    space = _span_of_multiples(generators, algebra)
+    space = _span_of_multiples(ideal.generators, algebra)
     space.basis.flags.writeable = False
     return space
 
@@ -127,8 +136,7 @@ def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
         if current.contains(row):
             continue
         gens.append(algebra.lift(row))
-        current = Subspace.from_vectors(algebra.field, algebra.dim, np.vstack(
-            [current.basis, algebra.multiples(gens[-1])]))
+        current = _span_of_multiples(gens, algebra)
         if current.dim == space.dim:
             break
     return gens

@@ -381,10 +381,6 @@ class Subspace:
     def zero_space(cls, field, ambient):
         return cls(field, ambient, zeros((0, ambient), field), [])
 
-    @classmethod
-    def full_space(cls, field, ambient):
-        return cls(field, ambient, eye(field, ambient), range(ambient))
-
     @property
     def dim(self):
         return len(self.pivots)
@@ -442,13 +438,3 @@ class Subspace:
         return eliminate(
             np.vstack([self.basis, other.basis]),
             np.vstack([self.basis, zeros(other.basis.shape, self.field)]), self.field)[2]
-
-    def preimage(self, A):
-        """{x : A x in self} for A given as ambient x n rows."""
-        A = as_array(A, self.field)
-        n = A.shape[1]
-        E = self.complement_functionals()
-        if not len(E):
-            return Subspace.full_space(self.field, n)
-        conditions = Subspace.from_vectors(self.field, n, dot(E, A, self.field))
-        return Subspace.from_vectors(self.field, n, conditions.complement_functionals())

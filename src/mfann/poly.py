@@ -5,7 +5,8 @@ polynomial stores a map monomial -> nonzero coefficient over a fixed field.
 Monomial comparison is graded lexicographic with the declared variable order
 (x > y > z for variables declared as ("x", "y", "z")).  Coefficient vectors
 index the monomials of degree < N through one MonomialBox: R_N's reduction
-table and the exact witness and membership solves share it.
+table and the exact witness solve share it.  The membership solve indexes
+only the monomials its products reach.
 """
 
 from __future__ import annotations

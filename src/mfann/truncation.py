@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Rationals, SpecError, field_from_config, field_to_config, json_check, json_item
-from .linalg import Subspace, _integer_rows, echelon, mod, neg, scatter, zeros
+from .linalg import Subspace, _integer_rows, echelon, mod, neg, scatter
 from .poly import MonomialBox, Polynomial, parse_poly
 
 QQ = Rationals()
@@ -103,18 +103,60 @@ def mixed_radix(rows, top: int, f: Polynomial):
     return total
 
 
-def degree_blocks(degs):
-    """The indices of degs by degree: (labels, slot, members), labels the
-    distinct degrees, ascending, and members[b] the indices of degree
-    labels[b], ascending, padded with len(degs), then a row of padding
-    alone; slot[m] is m's place in its row."""
-    labels, inverse, sizes = np.unique(degs, return_inverse=True, return_counts=True)
-    order = np.argsort(inverse, kind="stable")
-    slot = np.empty(len(degs), dtype=np.intp)
-    slot[order] = np.arange(len(degs)) - (np.cumsum(sizes) - sizes)[inverse[order]]
-    members = np.full((len(sizes) + 1, sizes.max(initial=0)), len(degs), dtype=np.intp)
-    members[inverse, slot] = np.arange(len(degs))
-    return labels, slot, members
+def _find(labels, values):
+    """The index of each value in the ascending labels, len(labels) if absent."""
+    at = np.searchsorted(labels, values).clip(max=len(labels) - 1)
+    return np.where(labels[at] == values, at, len(labels))
+
+
+class Degrees:
+    """The monomials 0 .. count - 1 by their degrees degs: `labels` the
+    distinct degrees, ascending, and members[b] the monomials of degree
+    labels[b], ascending, padded with count, then a row of padding alone;
+    slot[m] is m's place in its row.  `blocks` are the degrees of the
+    monomials `served` (all if none), `cols` their members."""
+
+    def __init__(self, degs, served=slice(None)):
+        self.count, self.degs = len(degs), degs
+        self.labels, inverse, sizes = np.unique(degs, return_inverse=True, return_counts=True)
+        order = np.argsort(inverse, kind="stable")
+        self.slot = np.empty(len(degs), dtype=np.intp)
+        self.slot[order] = np.arange(len(degs)) - (np.cumsum(sizes) - sizes)[inverse[order]]
+        self.members = np.full((len(sizes) + 1, sizes.max(initial=0)), len(degs), dtype=np.intp)
+        self.members[inverse, self.slot] = np.arange(len(degs))
+        self.blocks = np.array(sorted(set(degs[served].tolist())) or self.labels)
+        self.cols = self.members[_find(self.labels, self.blocks)]
+
+
+class _Graded:
+    """The blocks of the matrix with rows (g, m), of degree deg m -
+    row_shift[g], columns (i, m'), of degree deg m' - col_shift[i], and
+    entry the sum of the values of the triplets (m, m', value) of
+    op(entries[g][i]) (None is zero), kept only between equal degrees: one
+    block per column degree d - col_shift[i], d in degrees.blocks, in
+    `labels`, scattered into `stack` (blocks x groups * width x columns *
+    width, m at its slot), and row_at, col_at their places g * count + m,
+    or groups * count for padding."""
+
+    def __init__(self, degrees, entries, op, row_shift, col_shift, field):
+        # the distinct labels, ascending: np.unique would import numpy.ma, for 20 ms
+        self.labels = np.array(sorted(set((degrees.blocks[:, None] - col_shift).ravel().tolist())))
+        rows, cols = (degrees.members[_find(degrees.labels, self.labels[:, None] + shift)]
+                      for shift in (row_shift, col_shift))
+        self.row_at, self.col_at = (np.where(
+            m < degrees.count, np.arange(m.shape[1])[:, None] * degrees.count + m,
+            m.shape[1] * degrees.count).reshape(len(m), m[0].size) for m in (rows, cols))
+        op = functools.cache(op)  # once per distinct key
+        g, i, m, m2, values = zip(*((g, i, *op(e)) for g, row in enumerate(entries)
+                                    for i, e in enumerate(row) if e is not None))
+        g, i = (np.repeat(k, list(map(len, m))) for k in (g, i))
+        m, m2, values = map(np.concatenate, (m, m2, values))
+        label, width = degrees.degs[m] - row_shift[g], degrees.members.shape[1]
+        block = _find(self.labels, label)
+        keep = (block < len(self.labels)) & (label == degrees.degs[m2] - col_shift[i])
+        self.stack = scatter((len(self.labels), rows[0].size, cols[0].size), field, *(
+            x[keep] for x in (block, g * width + degrees.slot[m], i * width + degrees.slot[m2],
+                              values)))
 
 
 class TruncatedAlgebra:
@@ -140,7 +182,8 @@ class TruncatedAlgebra:
     stack of blocks, one per degree (one block if f has no grading).  The
     reduced form of a block-diagonal matrix is the union of its blocks'
     reduced forms, so the basis and reduce(m) are those of reducing every
-    relation at once.
+    relation at once.  The weights stay, and `degrees` lays the basis out
+    by them: reduce(m) has the degree of m.
     """
 
     def __init__(self, spec: RingSpec, N: int):
@@ -152,26 +195,22 @@ class TruncatedAlgebra:
         box = self.box = MonomialBox(spec.nvars, N)
         n = box.dim  # index n, for every monomial of degree >= N, is the empty row
 
-        w = mixed_radix(gradings(f), N - 1, f)
+        w = self.weights = mixed_radix(gradings(f), N - 1, f)
         degs = np.array(box.monos, dtype=np.int64).reshape(n, -1) @ w
-        labels, slot, members = degree_blocks(degs)
         # Terms of f of degree >= N only ever land on the empty row.  The
         # multipliers of f, of degree < N - min deg f, are the first u
-        # monomials; the relation of multiplier k lies in the block of degree
-        # degs[k] + deg f, at k's slot in its own degree.
+        # monomials; the relation of multiplier k has degree degs[k] + deg f.
         f_keys, f_degs, f_coeffs = box.terms(f, field)
         u = np.searchsorted(box.degs, N - f.min_degree())
         at = box.locate(box.keys[:u, None] + f_keys, box.degs[:u, None] + f_degs)
-        block = np.searchsorted(labels, degs[:u] + w @ next(iter(f.terms)))
         k, t = np.nonzero(at < n)
-        width = members.shape[1]
-        stack = zeros((len(labels), width, width), field)
-        stack[block[k], slot[k], slot[at[k, t]]] = f_coeffs[t]
+        rel = _Graded(Degrees(degs), [[f]], lambda _: (k, at[k, t], f_coeffs[t]),
+                      np.array([-(w @ next(iter(f.terms)))]), np.zeros(1, dtype=np.int64), field)
         # Columns descending, so row reduction pivots on the largest monomial
         # of each relation and keeps the small monomials standard: column c
         # of block b is the monomial cols[b, c].
-        cols = members[:-1, ::-1]
-        R, pivots = echelon(stack[..., ::-1], field)
+        cols = rel.col_at[:, ::-1]
+        R, pivots = echelon(rel.stack[..., ::-1], field)
         b, r = np.nonzero(pivots >= 0)
         standard = np.ones(n + 1, dtype=bool)
         standard[cols[b, pivots[b, r]]] = False
@@ -179,6 +218,7 @@ class TruncatedAlgebra:
         basis_at = standard.nonzero()[0]
         self.basis = [box.monos[i] for i in basis_at]
         self._basis_keys, self._basis_degs = box.keys[basis_at], box.degs[basis_at]
+        self.degrees = Degrees(degs[basis_at])
         # a leading monomial reduces to minus the rest of its reduced relation
         b, r, c = np.nonzero((R != 0) & standard[cols][:, None])
         rows = np.concatenate([basis_at, cols[b, pivots[b, r]]])

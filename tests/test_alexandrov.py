@@ -171,7 +171,7 @@ def test_truncate_ideal_memo_matches_direct_span(ideal, N, data):
     """The memoized truncation is the span of the generators' multiples,
     built here, on the first and on a repeated call, at R_N and R_{N+1}, in
     any generator order; a ring mismatch is caught on every call."""
-    ideals_module._truncation.cache_clear()
+    ideals_module.truncate_ideal.cache_clear()
     permuted = IdealSpec(XX, tuple(data.draw(st.permutations(ideal.generators))))
     for level in (N, N + 1):
         algebra = build_truncation(XX, level)

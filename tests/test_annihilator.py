@@ -21,7 +21,7 @@ from mfann.annihilator import (
 )
 from mfann.fields import PrimeField, Rationals, SpecError
 from mfann.ideals import truncate_ideal
-from mfann.linalg import Subspace
+from mfann.linalg import Subspace, as_array, dot
 from mfann.mf import catalog, catalog_labels, ring_spec, swap
 from mfann.poly import Polynomial, parse_poly
 from mfann.truncation import build_truncation
@@ -70,7 +70,11 @@ def dense_annihilator_oracle(mf, N):
         for i in range(n):
             for t, c in enumerate(ent):
                 embed[(i * n + i) * d + t][col] = c
-    return image.preimage(embed)
+    # pull back: r with embed r in the image, the null space of E embed for
+    # functionals E that cut out the image
+    pulled = dot(image.complement_functionals(), as_array(embed, field), field)
+    return Subspace.from_vectors(field, d, Subspace.from_vectors(
+        field, d, pulled).complement_functionals())
 
 
 ORACLE_CASES = [

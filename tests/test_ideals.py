@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfann import ideals
-from mfann.fields import InvariantError, PrimeField, SpecError
+from mfann.annihilator import row_col_bound
+from mfann.fields import InvariantError, PrimeField, Rationals, SpecError
 from mfann.ideals import (
     IdealSpec,
     ParametricIdealFamily,
@@ -15,12 +16,14 @@ from mfann.ideals import (
     member,
     truncate_ideal,
 )
-from mfann.mf import ring_spec
+from mfann.linalg import Subspace
+from mfann.mf import RING_IDS, catalog, catalog_labels, ring_spec
 from mfann.poly import Polynomial, monomials_upto, parse_poly
-from mfann.truncation import build_truncation
+from mfann.truncation import RingSpec, build_truncation
 from test_alexandrov import ideals as random_ideals
 
 F13 = PrimeField(13, 5)
+QQ = Rationals()
 XXY = ring_spec("d-inf-1", F13)  # k[x, y]/(x^2 y)
 XX = ring_spec("a-inf-1", F13)  # k[x, y]/(x^2)
 XXZZ = ring_spec("a-inf-2", F13)  # k[x, y, z]/(x^2 + z^2)
@@ -76,6 +79,53 @@ def test_truncate_ideal_dimension():
     algebra = build_truncation(XX, 6)  # dim 11: 1, y..y^5, x, xy..xy^4
     space = truncate_ideal(I(XX, "x"), algebra)
     assert space.dim == 5  # x, xy, .., xy^4
+
+
+def dense_span(ideal, algebra):
+    """The truncation by its definition: the span of the stacked rows
+    reduce(g * b) of every generator g."""
+    rows = [algebra.multiples(g) for g in ideal.generators]
+    return Subspace.from_vectors(algebra.field, algebra.dim, np.vstack(rows) if rows else [])
+
+
+def catalog_ideals(field):
+    """The catalog annihilators and row/column ideals J_k at n <= 2."""
+    for ring_id in RING_IDS:
+        if not field.is_prime and ring_id == "a-inf-2":
+            continue  # needs a square root of -1
+        for label, parametric in catalog_labels(ring_id):
+            for n in ((1, 2) if parametric else (None,)):
+                entry = catalog(ring_id, label, n, field)
+                yield entry.expected_annihilator
+                yield from row_col_bound(entry.mf)
+
+
+def mixed_ideals(field):
+    """Generator lists that mix homogeneous and inhomogeneous generators
+    over x^2 y, the empty list, and ideals over x^2 + y^3 + x y^2, which
+    has no grading."""
+    spec = ring_spec("d-inf-1", field)
+    # a J_k of a conjugated d-inf-1 entry, then a homogeneous generator of
+    # nonzero degree beside an inhomogeneous one
+    for gens in (("x", "8*x^2 + y", "2*x^3*y + 10*x*y^2 + x*y", "3*x^2*y"), ("x*y", "x + y^2"),
+                 ("y^3", "x^2 + x*y"), ()):
+        yield IdealSpec.from_strings(spec, gens)
+    variables = ("x", "y")
+    ungraded = RingSpec(variables, parse_poly("x^2 + y^3 + x*y^2", variables, field), field)
+    for gens in (("x",), ("x*y", "y^2"), ("x + y^2", "x*y^3")):
+        yield IdealSpec.from_strings(ungraded, gens)
+
+
+@pytest.mark.parametrize("field", [F13, QQ], ids=["F13", "Q"])
+@pytest.mark.parametrize("kind", [catalog_ideals, mixed_ideals], ids=["catalog", "mixed"])
+def test_truncate_ideal_equals_the_dense_span(field, kind):
+    for ideal in kind(field):
+        for N in (4, 7):
+            algebra = build_truncation(ideal.spec, N)
+            space = truncate_ideal(ideal, algebra)
+            assert space == dense_span(ideal, algebra), (ideal.format(), N)
+            gens = extract_generators(space, algebra)
+            assert dense_span(IdealSpec(ideal.spec, tuple(gens)), algebra) == space
 
 
 def test_extract_generators_round_trip():

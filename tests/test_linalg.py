@@ -116,15 +116,6 @@ def test_intersection_dimension_formula(ru, rv):
     assert U.dim + V.dim == Subspace.from_vectors(F13, 5, np.vstack([U.basis, V.basis])).dim + W.dim
 
 
-def test_preimage():
-    A = [[1, 0, 0], [0, 1, 0]]  # projection k^3 -> k^2 (as rows: v -> A v)
-    U = Subspace.from_vectors(F13, 2, [[1, 0]])
-    pre = U.preimage(A)
-    assert pre.dim == 2
-    assert pre.contains([1, 0, 0]) and pre.contains([0, 0, 1])
-    assert not pre.contains([0, 1, 0])
-
-
 over_three_fields = pytest.mark.parametrize("field", [F13, F_BIG, QQ], ids=["F13", "F2^31-1", "Q"])
 
 
