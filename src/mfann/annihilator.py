@@ -28,9 +28,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import InvariantError
-from .ideals import IdealSpec, extract_generators, ideal_subspace_from_vectors, truncate_ideal
-from .linalg import (Subspace, _dot_sparse, dot, echelon, eliminate, eye, mod,
-                     neg, scatter, zeros)
+from .ideals import IdealSpec, extract_generators, generator_rows, truncate_ideal
+from .linalg import Subspace, dot, echelon, eliminate, eye, mod, neg, scatter, zeros
 from .mf import MatrixFactorization, poly_mat_mul
 from .poly import MonomialBox, Polynomial, grlex_key
 from .truncation import Degrees, _find, _Graded, build_truncation, gradings, mixed_radix
@@ -171,20 +170,20 @@ def _nonzero(mat, key=lambda e: e):
     return [[None if e.is_zero else key(e) for e in row] for row in mat]
 
 
-def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
-    """The subspace {r in R_N : phi*alpha + beta*psi = r*I solvable in R_N}:
-    the kernel of the constraint rows K."""
+def _annihilator_ideal(mf: MatrixFactorization, N: int):
+    """The truncated annihilator, the kernel of the constraint rows K, and
+    its generators, which extract_generators checks to span it."""
     algebra = build_truncation(mf.spec, N)
-    field = algebra.field
     exps = np.array(algebra.basis, dtype=np.int64).reshape(algebra.dim, -1)
     K = _System(mf, exps, _nonzero(zip(*mf.phi)), _nonzero(mf.psi), algebra.triplets, True).K
-    ann = Subspace.from_vectors(field, algebra.dim, K.complement_functionals())
-    # post-check: the solvable set is an ideal of R_N
-    for v in range(mf.spec.nvars):
-        xv = algebra.multiples(Polynomial.variable(field, mf.spec.nvars, v))
-        if not ann.contains(_dot_sparse(ann.basis, xv, field)):  # x_v * ann, mostly zeros
-            raise InvariantError("truncated annihilator is not an ideal")
-    return ann
+    ann = Subspace.from_vectors(algebra.field, algebra.dim, K.complement_functionals())
+    return ann, extract_generators(ann, algebra)
+
+
+def annihilator_truncated(mf: MatrixFactorization, N: int) -> Subspace:
+    """The subspace {r in R_N : phi*alpha + beta*psi = r*I solvable in R_N};
+    raises InvariantError if it is not an ideal of R_N."""
+    return _annihilator_ideal(mf, N)[0]
 
 
 def membership_truncated(mf: MatrixFactorization, r: Polynomial, N: int) -> bool:
@@ -316,18 +315,18 @@ class AnnihilatorResult:
 
 def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
     """Full annihilator computation: truncated upper bound, generator
-    extraction, witness search (ascending degree), status and bound checks."""
+    extraction, witness search (ascending degree), status and bound checks;
+    raises InvariantError if the bound is no ideal of R_N or leaves a J_k."""
     algebra = build_truncation(mf.spec, N)
-    upper = annihilator_truncated(mf, N)
-    gens = extract_generators(upper, algebra)
+    upper, gens = _annihilator_ideal(mf, N)
 
-    # Lemma-style upper bound: the subspace sits inside every J_k truncation
+    # Lemma-style upper bound: every J_k truncation, an ideal, holds the generators
+    rows = generator_rows(IdealSpec(mf.spec, tuple(gens)), algebra)
     for J_k in row_col_bound(mf):
-        if not upper.is_subspace_of(truncate_ideal(J_k, algebra)):
+        if not truncate_ideal(J_k, algebra).contains(rows):
             raise InvariantError("row/column bound violated by the truncated solve")
 
     lower = []
-    witnessed_vectors = []
     remaining = list(gens)
     for d_try in range(D + 1):
         if not remaining:
@@ -339,13 +338,10 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
                 still.append(g)
             else:
                 lower.append((g, w))
-                witnessed_vectors.append(algebra.reduce(g))
         remaining = still
 
-    # The witnessed generators' ideal matters only once every generator has
-    # a witness.
-    if upper.dim == 0 or (
-            not remaining and ideal_subspace_from_vectors(witnessed_vectors, algebra) == upper):
+    # the generators span the upper bound: witnessing them all certifies it
+    if not remaining:
         status = "certified-exact"
     elif lower:
         status = "bounded-gap"

@@ -126,9 +126,11 @@ def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
     """Greedy generator extraction, ascending (degree, graded-lex) pivot order.
 
     Returns polynomials whose generated ideal at level N equals the subspace.
-    The echelon basis of an ideal subspace is already sorted by pivot, and
-    pivots index the ascending graded-lex monomial basis, so scanning rows in
-    order is the greedy small-degree-first scan.
+    Their span holds every basis row, so it equals the subspace exactly when
+    the subspace is an ideal of R_N; if not, InvariantError is raised.  The
+    echelon basis is sorted by pivot, and pivots index the ascending
+    graded-lex monomial basis, so scanning rows in order is the greedy
+    small-degree-first scan.
     """
     gens = []
     current = Subspace.zero_space(algebra.field, algebra.dim)
@@ -139,6 +141,8 @@ def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
         current = _span_of_multiples(gens, algebra)
         if current.dim == space.dim:
             break
+    if current != space:
+        raise InvariantError("the subspace is not an ideal of R_N")
     return gens
 
 

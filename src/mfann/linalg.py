@@ -427,9 +427,6 @@ class Subspace:
             and np.array_equal(self.basis, other.basis)
         )
 
-    def is_subspace_of(self, other) -> bool:
-        return other.contains(self.basis)
-
     def intersect(self, other):
         """Zassenhaus intersection: the rows of the reduced [U U; V 0] that
         pivot in its right half span U meet V."""

@@ -255,7 +255,8 @@ class TruncatedAlgebra:
         """Rows j = reduce(p * basis[j]), the multiples that span the ideal
         (p) of R_N, laid out as MonomialBox.multiples lays out its rows.
 
-        The transpose is the matrix of multiplication by p.
+        The transpose is the matrix of multiplication by p.  Only the tests
+        form it, as the dense reference for `triplets`.
         """
         return scatter((self.dim, self.dim), self.field, *self.triplets(p))
 

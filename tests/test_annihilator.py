@@ -8,9 +8,11 @@ then pull back the diagonal embedding r |-> r*I.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mfann import annihilator
 from mfann.annihilator import (
     Witness,
     annihilate,
@@ -19,8 +21,8 @@ from mfann.annihilator import (
     row_col_bound,
     witness_search,
 )
-from mfann.fields import PrimeField, Rationals, SpecError
-from mfann.ideals import truncate_ideal
+from mfann.fields import InvariantError, PrimeField, Rationals, SpecError
+from mfann.ideals import IdealSpec, ideal_subspace_from_vectors, truncate_ideal
 from mfann.linalg import Subspace, as_array, dot
 from mfann.mf import catalog, catalog_labels, ring_spec, swap
 from mfann.poly import Polynomial, parse_poly
@@ -140,7 +142,35 @@ def test_row_col_bound_contains_annihilator():
     algebra = build_truncation(entry.mf.spec, N)
     ann = annihilator_truncated(entry.mf, N)
     for J_k in row_col_bound(entry.mf):
-        assert ann.is_subspace_of(truncate_ideal(J_k, algebra))
+        assert truncate_ideal(J_k, algebra).contains(ann.basis)
+
+
+def test_a_truncated_solve_that_is_no_ideal_is_refused(monkeypatch):
+    # K gains the functional on the coordinate of x*y: its kernel, inside
+    # Ann(R/xR) = (x), keeps x and loses x*y, so it is no ideal of R_6
+    mf = catalog("a-inf-1", "R/xR", None, F13).mf
+    algebra = build_truncation(mf.spec, 6)
+    xy = algebra.reduce(mf.spec.poly("x*y"))
+
+    class Spoiled(annihilator._System):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.K = Subspace.from_vectors(F13, algebra.dim, np.vstack([self.K.basis, xy]))
+
+    monkeypatch.setattr(annihilator, "_System", Spoiled)
+    with pytest.raises(InvariantError, match="not an ideal"):
+        annihilator_truncated(mf, 6)
+    with pytest.raises(InvariantError, match="not an ideal"):
+        annihilate(mf, 6, 2)
+
+
+def test_annihilate_checks_the_row_col_bound(monkeypatch):
+    # Ann(R/xR) = (x) does not lie in (y)
+    mf = catalog("a-inf-1", "R/xR", None, F13).mf
+    monkeypatch.setattr(annihilator, "row_col_bound",
+                        lambda mf: [IdealSpec.from_strings(mf.spec, ["y"])])
+    with pytest.raises(InvariantError, match="row/column bound violated"):
+        annihilate(mf, 6, 2)
 
 
 def test_witness_verify_and_reject():
@@ -341,3 +371,22 @@ def test_witness_search_above_the_gamma_window():
     r = mf.spec.poly("x^2*y")
     assert oracle_has_witness(mf, r, 0)
     assert witness_search(mf, r, 0) is not None
+
+
+@pytest.mark.parametrize("field,ring_id", JACOBIAN_CASES,
+                         ids=[f"{'F13' if f.is_prime else 'Q'}-{r}" for f, r in JACOBIAN_CASES])
+def test_status_is_certified_exact_when_the_witnessed_generators_span(field, ring_id):
+    # annihilate certifies once every generator has a witness, since its
+    # generators span the upper bound; here the span of the witnessed ones
+    # is taken and compared, at witness degrees 0, 1 and the default
+    for label, parametric in catalog_labels(ring_id):
+        for n in ((1, 2) if parametric else (None,)):
+            mf = catalog(ring_id, label, n, field).mf
+            for N in (4, 7):
+                algebra = build_truncation(mf.spec, N)
+                for D in sorted({0, 1, n + 2 if parametric else 3}):
+                    result = annihilate(mf, N, D)
+                    spanned = ideal_subspace_from_vectors(
+                        [algebra.reduce(g) for g, _w in result.lower], algebra)
+                    assert (result.status == "certified-exact") == (
+                        spanned == result.subspace), (mf.label, N, D)

@@ -136,6 +136,15 @@ def test_extract_generators_round_trip():
     assert len(gens) == 3
 
 
+def test_extract_generators_rejects_a_subspace_that_is_no_ideal():
+    # (x) would span x*y, which the subspace lacks
+    algebra = build_truncation(XX, 6)
+    space = Subspace.from_vectors(F13, algebra.dim, [
+        algebra.reduce(XX.poly(text)) for text in ("x", "x*y^2", "x*y^3", "x*y^4")])
+    with pytest.raises(InvariantError, match="not an ideal"):
+        extract_generators(space, algebra)
+
+
 def reference_is_m_primary(ideal, N_max):
     """(status, colength, colengths) of is_m_primary, with the certificate
     formed from every degree-(N-1) monomial, listed and reduced one by one."""

@@ -112,7 +112,7 @@ def test_intersection_dimension_formula(ru, rv):
     U = Subspace.from_vectors(F13, 5, ru)
     V = Subspace.from_vectors(F13, 5, rv)
     W = U.intersect(V)
-    assert W.is_subspace_of(U) and W.is_subspace_of(V)
+    assert U.contains(W.basis) and V.contains(W.basis)
     assert U.dim + V.dim == Subspace.from_vectors(F13, 5, np.vstack([U.basis, V.basis])).dim + W.dim
 
 
