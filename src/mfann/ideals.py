@@ -130,7 +130,8 @@ def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
     the subspace is an ideal of R_N; if not, InvariantError is raised.  The
     echelon basis is sorted by pivot, and pivots index the ascending
     graded-lex monomial basis, so scanning rows in order is the greedy
-    small-degree-first scan.
+    small-degree-first scan.  The generators found so far are spanned by
+    truncate_ideal, so a subspace extracted again is looked up, not spanned.
     """
     gens = []
     current = Subspace.zero_space(algebra.field, algebra.dim)
@@ -138,7 +139,7 @@ def extract_generators(space: Subspace, algebra: TruncatedAlgebra):
         if current.contains(row):
             continue
         gens.append(algebra.lift(row))
-        current = _span_of_multiples(gens, algebra)
+        current = truncate_ideal(IdealSpec(algebra.spec, tuple(gens)), algebra)
         if current.dim == space.dim:
             break
     if current != space:

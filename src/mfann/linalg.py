@@ -103,10 +103,20 @@ def _dot_sparse(A, B, field):
 
 
 def scatter(shape, field, *at_values):
-    """zeros(shape) plus each values[k] at (at[0][k], ...), reduced: at_values = (*at, values)."""
+    """zeros(shape) plus each values[k] at (at[0][k], ...), reduced: at_values = (*at, values).
+
+    Over the rationals a value no other value meets is assigned, not added:
+    np.add.at into the int 0 pays a `Fraction` addition per value."""
+    *at, values = at_values
     out = zeros(shape, field)
-    np.add.at(out, at_values[:-1], at_values[-1])
-    return mod(out, field)
+    if field.is_prime:
+        np.add.at(out, tuple(at), values)
+        return mod(out, field)
+    flat, view = np.ravel_multi_index(tuple(at), out.shape), out.reshape(-1)
+    once = np.bincount(flat, minlength=out.size)[flat] == 1
+    view[flat[once]] = values[once]
+    np.add.at(view, flat[~once], values[~once])
+    return out
 
 
 def mod(A, field):

@@ -229,6 +229,7 @@ class TruncatedAlgebra:
         self.vals = np.concatenate([np.full(basis_at.size, field.one, dtype=R.dtype),
                                     neg(R[b, r, c], field)])[order]
         self.width = int(np.diff(self.indptr).max())
+        self._triplets = {}
 
     @property
     def dim(self):
@@ -264,7 +265,13 @@ class TruncatedAlgebra:
         """The multiples by the first count basis monomials (default: all)
         as triplets (j, i, value), the values at (j, i) adding up to
         multiples(p)[j, i]: over the terms c x^e of p, c * the stored
-        entries of the table row of e + basis[j]."""
+        entries of the table row of e + basis[j].
+
+        Memoized per algebra by (p, count): the arrays are shared between
+        callers and read-only."""
+        key = (p, count)
+        if key in self._triplets:
+            return self._triplets[key]
         field = self.field
         box = self.box
         keys, degs, coeffs = box.terms(p, field)
@@ -273,6 +280,9 @@ class TruncatedAlgebra:
         (t, j), i, vals = self._entries(rows)
         scale = (coeffs != field.one)[t]
         vals[scale] = mod(vals[scale] * coeffs[t[scale]], field)
+        for a in (j, i, vals):
+            a.flags.writeable = False
+        self._triplets[key] = j, i, vals
         return j, i, vals
 
     def _entries(self, rows):

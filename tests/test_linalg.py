@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
 from mfann.linalg import (Subspace, _dot_sparse, as_array, dot, echelon, eliminate, kernel,
-                          mat_mul, rref, solve, solve_affine, zeros)
+                          mat_mul, rref, scatter, solve, solve_affine, zeros)
 
 F13 = PrimeField(13, 5)
 F_BIG = PrimeField(2**31 - 1)
@@ -267,6 +267,44 @@ def test_dot_sparse_at_the_largest_prime():
     # eight products (p-1)^2 = 1 mod p; any three of them overflow int64
     assert _dot_sparse(A, A.T, F_BIG).tolist() == [[8]]
     assert _dot_sparse(A, A[0], F_BIG).tolist() == [8]
+
+
+def dict_scatter(shape, at, values):
+    """The sums of the values at each position, on dicts: Fraction(0) where
+    values met and cancelled, the int 0 where none landed."""
+    sums = {}
+    for k, v in zip(zip(*at), values):
+        sums[k] = sums.get(k, 0) + v
+    return [[sums.get((i, j), 0) for j in range(shape[1])] for i in range(shape[0])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rational_scatter_matches_a_dict_sum(data):
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+    cell = st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1))
+    cells = data.draw(st.lists(cell, max_size=12))
+    values = [data.draw(nonzero_elements(QQ)) for _ in cells]
+    # a value and its negative at one position cancel to zero
+    for k in data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=3) if cells
+                       else st.just([])):
+        cells.append(cells[k])
+        values.append(-values[k])
+    at = tuple(np.array([c[d] for c in cells], dtype=np.intp) for d in (0, 1))
+    out = scatter(shape, QQ, *at, as_array(values, QQ))
+    assert out.shape == shape and out.dtype == object
+    assert out.tolist() == dict_scatter(shape, at, values)
+    assert_python_entries(out)
+    assert all(type(out[i, j]) is int for i in range(shape[0]) for j in range(shape[1])
+               if (i, j) not in cells)
+
+
+def test_rational_scatter_assigns_lone_values_and_sums_repeats():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    values = as_array([half, third, -half, third, Fraction(5)], QQ)
+    out = scatter(4, QQ, np.array([0, 1, 0, 1, 3]), values)
+    assert out.tolist() == [0, Fraction(2, 3), 0, 5]
+    assert [type(v) for v in out] == [Fraction, Fraction, int, Fraction]
 
 
 def fraction_product(A, B):

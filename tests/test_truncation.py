@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from mfann.fields import PrimeField, Rationals
 from mfann.mf import RING_IDS, ring_spec
 from mfann.poly import Polynomial, grlex_key, mono_mul, monomials_below, parse_poly
-from mfann.truncation import RingSpec, SpecError, build_truncation, gradings
+from mfann.ideals import IdealSpec, extract_generators, truncate_ideal
+from mfann.truncation import RingSpec, SpecError, TruncatedAlgebra, build_truncation, gradings
 
 F13 = PrimeField(13, 5)
 FIELDS = {"F13": F13, "F_2^31-1": PrimeField(2**31 - 1), "Q": Rationals()}
@@ -251,6 +252,31 @@ def test_results_never_alias_the_table(name):
         (algebra.indptr, algebra.cols, algebra.vals), table))
     assert np.array_equal(algebra.multiples(p), expected_M)
     assert np.array_equal(algebra.reduce(p), expected_v)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_memoized_triplets_are_read_only_and_stay_fresh(name):
+    field = FIELDS[name]
+    spec = ring(("x", "y", "z"), "x^2*y+z^2", field)
+    algebra = build_truncation(spec, 5)
+    polys = [spec.poly(t) for t in ("1", "y", "x + y^2 + 1", "2*x*z - y^3", "z^4 + x")]
+    for _ in range(2):  # every call after the first is served from the memo
+        for p in polys:
+            for count in (None, 1, 3):
+                for a in algebra.triplets(p, count):
+                    with pytest.raises(ValueError):
+                        a[:1] = 0
+            algebra.multiples(p)[:] = field.coerce(7)
+            algebra.reduce(p)[:] = field.coerce(7)
+        space = truncate_ideal(IdealSpec(spec, tuple(polys[1:3])), algebra)
+        assert extract_generators(space, algebra)
+    for p in polys:  # each against the first call on a fresh algebra
+        for count in (None, 1, 3):
+            assert all(np.array_equal(a, b) for a, b in zip(
+                algebra.triplets(p, count), TruncatedAlgebra(spec, 5).triplets(p, count),
+                strict=True))
+        assert np.array_equal(algebra.multiples(p), TruncatedAlgebra(spec, 5).multiples(p))
+        assert np.array_equal(algebra.reduce(p), TruncatedAlgebra(spec, 5).reduce(p))
 
 
 def reference_truncation(spec, N):
