@@ -93,7 +93,11 @@ def build_preorder(family: AnnFamily, n_max: int = 5):
     second exactly when it contains those few rows.  One residual per member
     Y tests the stacked generator rows of every X at once.
     """
-    algebra, labeled, spaces = _truncations(family, n_max)
+    return _preorder(*_truncations(family, n_max))
+
+
+def _preorder(algebra, labeled, spaces):
+    """build_preorder on the truncations `_truncations` returns."""
     labels = [lab for lab, _ideal in labeled]
     rows = [generator_rows(ideal, algebra) for _lab, ideal in labeled]
     owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
@@ -147,7 +151,7 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
     instance's and the instances cannot lower the meet.
     """
     algebra, labeled, spaces = _truncations(family, n_max)
-    edges = build_preorder(family, n_max)
+    edges = _preorder(algebra, labeled, spaces)
     scale = {"N": family.N, "n_max": n_max, "D": D}
 
     # parametric limits, each verified at scale

@@ -218,21 +218,43 @@ class MPrimaryResult:
 
 
 def is_m_primary(ideal: IdealSpec, N_max: int) -> MPrimaryResult:
-    """Colength probe: stabilization over three consecutive levels, certified
-    by checking the image of m^(N-1) lies inside the truncated ideal."""
+    """Colength probe: stabilization over three consecutive levels K,
+    certified at the last.
+
+    Every level is read off R_{N_max}: R_K is R_{N_max} modulo the image of
+    m^K, which reduce(m) spans over the box monomials m of degree >= K, so
+    colength_K is the codimension of the ideal's truncation plus those
+    rows.  Taken modulo the truncation, on its free columns, and ordered by
+    degree, highest first, the rows of degree >= K are a prefix; one
+    echelon of their transpose, whose pivots are the first independent
+    rows, gives the rank of every prefix.  Equal colengths at K - 1 and K
+    are the certificate: they put m^(K-1) inside I + (f) + m^K, hence
+    inside I + (f) by Nakayama.  It is checked by containment, the
+    degree-(K-1) rows in the span of the degree->=K rows, and a failure is
+    an InvariantError.
+    """
     if N_max < 3:
         raise ValueError("N_max must be >= 3")
-    spec = ideal.spec
+    field = ideal.spec.field
+    algebra = build_truncation(ideal.spec, N_max)
+    space = truncate_ideal(ideal, algebra)
+    free = space._free
+    # one degree at a time: no box x dim array; rows[:ends[j]] has degree >= N_max - j
+    blocks = [space.residual(algebra.reductions(np.flatnonzero(algebra.box.degs == d)))[:, free]
+              for d in range(N_max - 1, 2, -1)]
+    rows = np.concatenate([zeros((0, free.size), field)] + blocks)
+    ends = np.cumsum([0] + [len(b) for b in blocks])
+    rank = np.searchsorted(echelon(rows.T, field)[1], ends)
     colengths = []
-    for N in range(3, N_max + 1):
-        algebra = build_truncation(spec, N)
-        space = truncate_ideal(ideal, algebra)
-        colengths.append(algebra.dim - space.dim)
+    for K in range(3, N_max + 1):
+        colengths.append(int(free.size - rank[N_max - K]))
         if len(colengths) >= 3 and colengths[-1] == colengths[-2] == colengths[-3]:
-            # certificate: every degree-(N-1) monomial reduces into the ideal
-            if space.contains(algebra.reductions(np.flatnonzero(algebra.box.degs == N - 1))):
-                return MPrimaryResult("m-primary", colengths[-1], tuple(colengths))
-            return MPrimaryResult("undetermined", None, tuple(colengths))
+            top = ends[N_max - K]  # the rows of degree >= K, then those of degree K - 1
+            if not Subspace.from_vectors(field, free.size, rows[:top]).contains(
+                    rows[top:ends[N_max - K + 1]]):
+                raise InvariantError(f"equal colengths at levels {K - 1} and {K}, yet "
+                                     f"m^{K - 1} is not inside I + (f) + m^{K}")
+            return MPrimaryResult("m-primary", colengths[-1], tuple(colengths))
     if all(b > a for a, b in zip(colengths, colengths[1:])):
         return MPrimaryResult("not-m-primary-evidence", None, tuple(colengths))
     return MPrimaryResult("undetermined", None, tuple(colengths))

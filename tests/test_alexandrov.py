@@ -140,6 +140,15 @@ def test_preorder_on_generators_matches_pairwise(ring_id, subfamily, field, N, n
     assert build_preorder(fam, n_max) == pairwise_edges(fam, n_max)
 
 
+@pytest.mark.parametrize("ring_id, subfamily", [
+    *[(ring_id, "all") for ring_id in RING_IDS], ("a-inf-1", "cm0")])
+def test_verdict_edges_equal_build_preorder(ring_id, subfamily):
+    # at n_max = 8 the d-inf families have more members than the
+    # truncate_ideal memo holds, so a second span of them would miss
+    fam = build_family(ring_id, F13, 12, subfamily=subfamily)
+    assert compactness_verdict(fam, 8).edges == build_preorder(fam, 8)
+
+
 _MONOS = monomials_below(2, 4)
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfann import ideals
+from mfann.alexandrov import compactness_verdict
 from mfann.annihilator import row_col_bound
+from mfann.families import build_family
 from mfann.fields import InvariantError, PrimeField, Rationals, SpecError
 from mfann.ideals import (
     IdealSpec,
@@ -197,6 +199,39 @@ def test_m_primary_cases():
     # (x, z) in k[x,y,z]/(x^2 + z^2) cuts out a curve
     res = is_m_primary(I(XXZZ, "x", "z"), 8)
     assert res.status == "not-m-primary-evidence"
+
+
+def catalog_family_ideals(field, N, n_max=4):
+    """Every member of the four catalog families and of the a-inf-1 cm0
+    chain at n <= n_max, and the meet of each family, at truncation N."""
+    cases = [(ring_id, "all") for ring_id in RING_IDS
+             if field.is_prime or ring_id != "a-inf-2"]  # a-inf-2 needs sqrt(-1)
+    out = {}
+    for ring_id, subfamily in cases + [("a-inf-1", "cm0")]:
+        fam = build_family(ring_id, field, N, subfamily=subfamily)
+        out.update((ideal, None) for _lab, ideal in fam.expanded(n_max))
+        out[compactness_verdict(fam, n_max).global_intersection] = None
+    return list(out)
+
+
+@pytest.mark.parametrize("N_max", range(8, 13))
+@pytest.mark.parametrize("field", [F13, QQ], ids=["F13", "Q"])
+def test_is_m_primary_matches_reference_on_catalog_ideals(field, N_max):
+    # a cold probe builds R_{N_max} alone; the reference builds every level
+    for ideal in catalog_family_ideals(field, N_max):
+        build_truncation.cache_clear()
+        res = is_m_primary(ideal, N_max)
+        assert build_truncation.cache_info().misses == 1
+        got = (res.status, res.colength, res.colengths)
+        assert got == reference_is_m_primary(ideal, N_max), ideal.format()
+
+
+def test_is_m_primary_raises_on_a_failed_certificate(monkeypatch):
+    # equal colengths at K - 1 and K imply the containment: failing it is
+    # an inconsistency of the engine, not an undetermined answer
+    monkeypatch.setattr(Subspace, "contains", lambda self, v: False)
+    with pytest.raises(InvariantError, match="colengths"):
+        is_m_primary(I(XX, "x", "y"), 8)
 
 
 def test_limit_of_chain_verified():
