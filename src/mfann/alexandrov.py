@@ -10,7 +10,6 @@ without a verified limit the verdict degrades to undetermined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 
 import numpy as np
 
@@ -172,8 +171,8 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
 
     # certified comparison targets: all finite members and all limit candidates
     targets = [ideal for _lab, ideal in family.members] + limits
-    meet = reduce(Subspace.intersect, [spaces[lab] for lab, _ideal in family.members]
-                  + [truncate_ideal(limit, algebra) for limit in limits])
+    meet = Subspace.intersect(*[spaces[lab] for lab, _ideal in family.members],
+                              *[truncate_ideal(limit, algebra) for limit in limits])
     gens = extract_generators(meet, algebra)
     global_ideal = IdealSpec(family.ring, tuple(gens))
 

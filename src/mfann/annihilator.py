@@ -176,7 +176,7 @@ def _annihilator_ideal(mf: MatrixFactorization, N: int):
     algebra = build_truncation(mf.spec, N)
     exps = np.array(algebra.basis, dtype=np.int64).reshape(algebra.dim, -1)
     K = _System(mf, exps, _nonzero(zip(*mf.phi)), _nonzero(mf.psi), algebra.triplets, True).K
-    ann = Subspace.from_vectors(algebra.field, algebra.dim, K.complement_functionals())
+    ann = Subspace.from_functionals(algebra.field, algebra.dim, K.basis)
     return ann, extract_generators(ann, algebra)
 
 
@@ -248,13 +248,13 @@ class _WitnessSearcher:
             for e in row) for row in coeffs)
 
     def search(self, r: Polynomial):
-        mf, system = self.mf, self.system
+        mf, system, K = self.mf, self.system, self.system.K
         field = mf.spec.field
         n, dim = mf.n, self.box.dim
         r_vec = self.box.vector(r, field)
         if not np.isin(system.degs[np.flatnonzero(r_vec)], system.blocks).all():
             raise InvariantError("r has a term outside the degrees of its searcher")
-        if np.count_nonzero(dot(system.K.basis, r_vec, field)):
+        if np.count_nonzero(mod(r_vec[K.pivots] + dot(K.block, r_vec[K._free], field), field)):
             return None  # S y = E' r is inconsistent
         y = zeros(n * n * dim + 1, field)
         y[self.y_at] = dot(system.Y, np.append(r_vec, field.zero)[system.cols, None], field)[..., 0]

@@ -101,9 +101,7 @@ def truncate_ideal(ideal: IdealSpec, algebra: TruncatedAlgebra) -> Subspace:
     """
     if ideal.spec != algebra.spec:
         raise SpecError("ideal and algebra are over different rings")
-    space = _span_of_multiples(ideal.generators, algebra)
-    space.basis.flags.writeable = False
-    return space
+    return _span_of_multiples(ideal.generators, algebra)
 
 
 def generator_rows(ideal: IdealSpec, algebra: TruncatedAlgebra):

@@ -15,7 +15,8 @@ reduced without forming it, one pivot loop reducing the same column of
 every block at once.  `echelon` returns the reduced form, `eliminate` the
 one split of it that decides solvability, and `solve` only the solution
 with every free variable zero, which is canonical.  A row reduction leaves
-this module as a `Subspace`; a null space is its `complement_functionals`.
+this module as a `Subspace`, held as pivots and a dim x codim block; a null
+space is its `complement_functionals`, a meet the kernel of stacked ones.
 `rref`, `kernel`, `solve_affine` and `mat_mul` are the same on lists.
 """
 
@@ -287,7 +288,7 @@ def eliminate(A, B, field):
     if R.ndim == 3:
         return R[..., w:], np.where(pivots < w, pivots, -1), np.where(pivots >= w, pivots - w, -1)
     k = bisect.bisect_left(pivots, w)
-    K = Subspace(field, B.shape[1], R[k:, w:].copy(), [q - w for q in pivots[k:]])
+    K = Subspace(field, B.shape[1], R[k:, w:], [q - w for q in pivots[k:]])
     return R[:k, w:].copy(), pivots[:k], K
 
 
@@ -359,18 +360,30 @@ def solve_affine(A, b, field):
 
 
 class Subspace:
-    """A subspace of k^ambient held as its reduced-echelon basis (an array)."""
+    """A subspace of k^ambient: its reduced basis's pivots, and `block`, the rest, read-only."""
 
     def __init__(self, field, ambient, basis, pivots):
-        self.field = field
-        self.ambient = ambient
-        self.basis = as_array(basis, field, ambient)
-        self.pivots = list(pivots)
+        self.field, self.ambient, self.pivots = field, ambient, list(pivots)
+        self._free = np.delete(np.arange(ambient), self.pivots)  # the other columns
+        self.block = as_array(basis, field, ambient)[:, self._free]
+        self.block.flags.writeable = False
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
         basis, pivots = echelon(as_array(vectors, field, ambient), field)
         return cls(field, ambient, basis, pivots)
+
+    @classmethod
+    def from_functionals(cls, field, ambient, rows):
+        """The subspace on which every row vanishes: reduced from the right, the
+        rows pivot at its free columns, c's being e_c minus the basis's column c."""
+        R, rev = echelon(as_array(rows, field, ambient)[:, ::-1], field)
+        free = ambient - 1 - np.array(rev, dtype=np.intp)
+        pivots = np.delete(np.arange(ambient), free)
+        basis = zeros((pivots.size, ambient), field)
+        basis[np.arange(pivots.size), pivots] = field.one
+        basis[:, free] = neg(R[:, ambient - 1 - pivots].T, field)
+        return cls(field, ambient, basis, pivots.tolist())
 
     @classmethod
     def from_blocks(cls, field, ambient, rows, pivots, cols):
@@ -395,36 +408,35 @@ class Subspace:
     def dim(self):
         return len(self.pivots)
 
+    @property
+    def basis(self):
+        """The reduced-echelon basis, dim x ambient, rebuilt read-only."""
+        out = zeros((self.dim, self.ambient), self.field)
+        out[np.arange(self.dim), self.pivots] = self.field.one
+        out[:, self._free] = self.block
+        out.flags.writeable = False
+        return out
+
     def residual(self, v):
         """v minus its projection onto the basis (zero iff v is contained);
         for a 2-D v, the residual of every row.  It is zero at the pivots,
         so only the other columns are computed."""
         v = as_array(v, self.field)
-        if not self.pivots:
-            return v
         f, free = self.field, self._free
         out = zeros(v.shape, f)
-        out[..., free] = mod(v[..., free] - dot(v[..., self.pivots], self.basis[:, free], f), f)
+        out[..., free] = mod(v[..., free] - dot(v[..., self.pivots], self.block, f), f)
         return out
 
     def contains(self, v) -> bool:
         """Whether v, or every row of a 2-D v, lies in the subspace."""
         return not np.count_nonzero(self.residual(v))
 
-    @property
-    def _free(self):
-        """The columns without a pivot, ascending."""
-        free = np.ones(self.ambient, dtype=bool)
-        free[self.pivots] = False
-        return free.nonzero()[0]
-
     def complement_functionals(self):
         """Rows of a matrix E with kernel exactly this subspace."""
-        f, pivots, free = self.field, self.pivots, self._free
+        f, free = self.field, self._free
         out = zeros((free.size, self.ambient), f)
         out[np.arange(free.size), free] = f.one
-        if pivots:
-            out[:, pivots] = neg(self.basis[:, free].T, f)
+        out[:, self.pivots] = neg(self.block.T, f)
         return out
 
     def __eq__(self, other):
@@ -434,14 +446,13 @@ class Subspace:
             self.field == other.field
             and self.ambient == other.ambient
             and self.pivots == other.pivots
-            and np.array_equal(self.basis, other.basis)
+            and np.array_equal(self.block, other.block)
         )
 
-    def intersect(self, other):
-        """Zassenhaus intersection: the rows of the reduced [U U; V 0] that
-        pivot in its right half span U meet V."""
-        if self.ambient != other.ambient:
+    def intersect(self, *others):
+        """The meet with the others: the kernel of the stacked complement
+        functionals [E_U; E_V; ...]."""
+        if any(other.ambient != self.ambient for other in others):
             raise ValueError("ambient dimension mismatch")
-        return eliminate(
-            np.vstack([self.basis, other.basis]),
-            np.vstack([self.basis, zeros(other.basis.shape, self.field)]), self.field)[2]
+        return Subspace.from_functionals(self.field, self.ambient, np.vstack(
+            [space.complement_functionals() for space in (self, *others)]))

@@ -1,5 +1,7 @@
 """Specialization preorder and compactness verdicts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from mfann.alexandrov import (
     build_preorder,
     compactness_verdict,
 )
+from mfann.annihilator import grading
 from mfann import ideals as ideals_module
 from mfann.families import EXPECTED_VERDICTS, build_family
 from mfann.fields import PrimeField, Rationals
@@ -235,3 +238,19 @@ def test_limit_of_chain_verifies_family_chains(ring_id, subfamily, field, N, n_m
     fam = build_family(ring_id, field, N, subfamily=subfamily)
     for _lab, pfam, limit in fam.parametric:
         assert limit_of_chain(pfam, limit, n_max, N).status == "verified-at-scale"
+
+
+def test_ring_family_verdicts_hold_subspaces_on_their_small_side():
+    """Truncated ideals of R_16 have small colength, so pivots plus a
+    dim x codim block keep the four verdicts' allocations small; dense
+    dim x ambient bases peaked near 17 MiB."""
+    for memo in (build_truncation, truncate_ideal, grading):
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        for ring_id in RING_IDS:
+            compactness_verdict(build_family(ring_id, F13, 16), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20

@@ -242,6 +242,24 @@ def test_reproduce_paper_is_byte_identical_on_warm_and_cleared_memos(capsys):
     assert reports[0][0] == 0 and reports[0] == reports[1] == reports[2]
 
 
+def test_reproduce_paper_computes_each_syzygy_annihilator_once(capsys, monkeypatch):
+    # the swap of one catalog entry is often another entry: of the 70
+    # annihilators the syzygy section compares, 37 are distinct
+    from mfann import cli
+
+    calls, original = [], cli.annihilator_truncated
+
+    def counted(mf, N):
+        calls.append((mf.spec, mf.phi, mf.psi, N))
+        return original(mf, N)
+
+    monkeypatch.setattr(cli, "annihilator_truncated", counted)
+    code, out, _ = run(capsys, "reproduce-paper")
+    assert code == 0 and len(calls) == len(set(calls)) == 37
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5e6e8ece6c24f06eba0601deec69c098024911afb8353e928a0c2820e305a589")
+
+
 def stub_reproduce(monkeypatch, cm0=None, properties=None):
     """Reduce reproduce-paper to its a-inf-1/cm0 section and the property
     checks: every ring section passes at once.  cm0 and properties, if

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mfann.fields import PrimeField, Rationals
-from mfann.linalg import (Subspace, _dot_sparse, as_array, dot, echelon, eliminate, kernel,
+from mfann.linalg import (Subspace, _dot_sparse, as_array, dot, echelon, eliminate, eye, kernel,
                           mat_mul, rref, scatter, solve, solve_affine, zeros)
 
 F13 = PrimeField(13, 5)
@@ -414,3 +414,78 @@ def test_stacked_echelon_and_product_at_the_largest_prime(data):
                  for row in X[b].tolist()] for b in range(nblocks)]
     assert dot(X, M, F_BIG).tolist() == expected
     assert _dot_sparse(X, M, F_BIG).tolist() == expected
+
+
+def zassenhaus(U, V):
+    """U meet V by the dense Zassenhaus elimination the library used before
+    meets came from functionals, kept as an oracle: the rows of the reduced
+    [U U; V 0] that pivot in its right half span the meet."""
+    return eliminate(np.vstack([U.basis, V.basis]),
+                     np.vstack([U.basis, zeros(V.basis.shape, U.field)]), U.field)[2]
+
+
+def dense_residual(R, pivots, v, field):
+    """v minus v at the pivots times the reduced rows R, entry by entry."""
+    out = list(v)
+    for row, p in zip(R, pivots):
+        out = [field.sub(x, field.mul(v[p], y)) for x, y in zip(out, row)]
+    return out
+
+
+@over_three_fields
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_subspace_block_is_the_reference_basis_at_its_free_columns(field, data):
+    M = data.draw(sparse_matrices(field))
+    ambient = M.shape[1]
+    U = Subspace.from_vectors(field, ambient, M)
+    R_ref, pivots_ref = reference_rref(M.tolist(), field)
+    free = [c for c in range(ambient) if c not in pivots_ref]
+    assert U.pivots == pivots_ref and U.block.shape == (U.dim, ambient - U.dim)
+    assert U.block.tolist() == [[row[c] for c in free] for row in R_ref]
+    assert U.basis.tolist() == R_ref and U.basis.shape == (U.dim, ambient)
+    assert not U.block.flags.writeable and not U.basis.flags.writeable
+    assert_python_entries(U.block, U.basis)
+    # the functionals: the unit vector at each free column, minus that
+    # column of the basis at the pivots
+    E = [[field.one if c == f else field.neg(R_ref[pivots_ref.index(c)][f])
+          if c in pivots_ref else field.zero for c in range(ambient)] for f in free]
+    assert U.complement_functionals().tolist() == E
+    vs = data.draw(sparse_matrices(field, max_cols=ambient))
+    vs = np.hstack([vs, zeros((len(vs), ambient - vs.shape[1]), field)])
+    for v in vs.tolist():
+        assert U.residual(as_array(v, field)).tolist() == dense_residual(R_ref, pivots_ref, v,
+                                                                         field)
+        assert U.contains(as_array(v, field)) == (
+            len(reference_rref(R_ref + [v], field)[1]) == U.dim)
+    assert U.residual(vs).tolist() == [dense_residual(R_ref, pivots_ref, v, field)
+                                       for v in vs.tolist()]
+    # equal exactly when the reduced bases are, whatever rows span them
+    assert U == Subspace.from_vectors(field, ambient, np.vstack([U.basis[::-1], M]))
+    assert (U == Subspace.from_vectors(field, ambient, vs)) == (
+        reference_rref(vs.tolist(), field) == (R_ref, pivots_ref))
+
+
+@over_three_fields
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_intersect_matches_the_zassenhaus_oracle(field, data):
+    M = data.draw(sparse_matrices(field))
+    ambient, k = M.shape[1], data.draw(st.integers(0, len(M)))
+    U = Subspace.from_vectors(field, ambient, M[:k])
+    case = data.draw(st.sampled_from(["random", "zero", "whole", "equal", "sub"]))
+    V = {"random": lambda: Subspace.from_vectors(field, ambient, M[k:]),
+         "zero": lambda: Subspace.zero_space(field, ambient),
+         "whole": lambda: Subspace.from_vectors(field, ambient, eye(field, ambient)),
+         "equal": lambda: Subspace.from_vectors(field, ambient, M[:k][::-1]),
+         "sub": lambda: Subspace.from_vectors(field, ambient, M)}[case]()
+    for A, B in ((U, V), (V, U)):
+        W, expected = A.intersect(B), zassenhaus(A, B)
+        assert W == expected and W.basis.tolist() == expected.basis.tolist()
+        assert W.block.shape == (W.dim, ambient - W.dim)
+        assert_python_entries(W.block)
+    if case != "random":  # the meet with the zero space is zero, else U lies in V
+        assert U.intersect(V) == (V if case == "zero" else U)
+    # one stacked meet of three is the meet folded pairwise
+    W = Subspace.from_vectors(field, ambient, M[::2])
+    assert U.intersect(V, W) == zassenhaus(zassenhaus(U, V), W)
