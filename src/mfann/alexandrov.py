@@ -55,7 +55,9 @@ class AnnFamily:
 
     def expanded(self, n_max: int):
         """All members including parametric instantiations, labeled;
-        ValueError, before any instance is built, past MAX_MEMBERS."""
+        ValueError for n_max < 1, or, before any instance is built, past MAX_MEMBERS."""
+        if n_max < 1:
+            raise ValueError("n_max must be >= 1")
         count = len(self.members) + len(self.parametric) * n_max
         if count > MAX_MEMBERS:
             raise ValueError(f"{count} family members at n_max = {n_max}, "

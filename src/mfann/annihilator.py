@@ -206,19 +206,21 @@ class _WitnessSearcher:
     The same system as the truncated solve, over exact polynomial
     coefficients (no truncation, hence exact): the column side is spanned by
     {m * phi[:, i]} and the vectors {f * m e_k} that absorb gamma, the row
-    side by {m * psi[j, :]}, so y holds the coefficients of beta.  For r of
-    degree <= top, where top >= D + (largest entry degree), every product
-    has degree <= top, so deg(f*gamma) = deg f + deg gamma bounds gamma by
+    side by {m * psi[j, :]}, so y holds the coefficients of beta.  For every
+    r it serves, every product has degree <= top, D + (largest entry degree)
+    or the largest deg r, so deg(f*gamma) = deg f + deg gamma bounds gamma by
     top - deg f exactly.  Coefficients live on the MonomialBox of degree
-    <= max(top, deg f), and only the degrees of the terms of the rs it serves
-    (all if none) are built: r is solvable exactly when each homogeneous part
+    <= max(top, deg f), and only the degrees of the terms of the rs are
+    built (all if none): r is solvable exactly when each homogeneous part
     is.  Each r costs K r, Y r, then beta*psi and X on r*I - beta*psi.
     """
 
-    def __init__(self, mf: MatrixFactorization, D: int, top: int, rs):
+    def __init__(self, mf: MatrixFactorization, D: int, rs):
         self.mf = mf
         spec = mf.spec
         field, n = spec.field, mf.n
+        top = max([D + max(e.degree() for row in mf.phi + mf.psi for e in row)]
+                  + [r.degree() for r in rs])
         box = self.box = MonomialBox(spec.nvars, max(top, spec.f.degree()) + 1)
         served = np.concatenate([box.locate(*box.terms(r, field)[:2]) for r in rs])
         # rows (i', m) = m * phi[:, i'] with deg m <= D, then (k, m) = f * m e_k
@@ -254,7 +256,7 @@ class _WitnessSearcher:
         r_vec = self.box.vector(r, field)
         if not np.isin(system.degs[np.flatnonzero(r_vec)], system.blocks).all():
             raise InvariantError("r has a term outside the degrees of its searcher")
-        if np.count_nonzero(mod(r_vec[K.pivots] + dot(K.block, r_vec[K._free], field), field)):
+        if np.count_nonzero(mod(r_vec[K.pivots] + dot(K.block, r_vec[K.free], field), field)):
             return None  # S y = E' r is inconsistent
         y = zeros(n * n * dim + 1, field)
         y[self.y_at] = dot(system.Y, np.append(r_vec, field.zero)[system.cols, None], field)[..., 0]
@@ -279,16 +281,6 @@ class _WitnessSearcher:
         return witness
 
 
-def _searchers(mf: MatrixFactorization, D: int, rs):
-    """The searcher of each r in rs: one per top degree, for the rs it serves."""
-    entry_degree = max(e.degree() for row in mf.phi + mf.psi for e in row)
-    tops, groups = [max(D + entry_degree, r.degree()) for r in rs], {}
-    for r, top in zip(rs, tops):
-        groups.setdefault(top, []).append(r)
-    searchers = {top: _WitnessSearcher(mf, D, top, group) for top, group in groups.items()}
-    return [searchers[top] for top in tops]
-
-
 def witness_search(mf: MatrixFactorization, r: Polynomial, D: int):
     """Exact witness with deg(alpha), deg(beta) <= D, or None.
 
@@ -296,7 +288,7 @@ def witness_search(mf: MatrixFactorization, r: Polynomial, D: int):
     """
     if D < 0:
         raise ValueError("degree bound must be >= 0")
-    return _searchers(mf, D, [r])[0].search(r)
+    return _WitnessSearcher(mf, D, [r]).search(r)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +323,8 @@ def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
     for d_try in range(D + 1):
         if not remaining:
             break
-        still = []
-        for g, searcher in zip(remaining, _searchers(mf, d_try, remaining)):
+        searcher, still = _WitnessSearcher(mf, d_try, remaining), []
+        for g in remaining:
             w = searcher.search(g)
             if w is None:
                 still.append(g)

@@ -236,7 +236,7 @@ def is_m_primary(ideal: IdealSpec, N_max: int) -> MPrimaryResult:
     field = ideal.spec.field
     algebra = build_truncation(ideal.spec, N_max)
     space = truncate_ideal(ideal, algebra)
-    free = space._free
+    free = space.free
     # one degree at a time: no box x dim array; rows[:ends[j]] has degree >= N_max - j
     blocks = [space.residual(algebra.reductions(np.flatnonzero(algebra.box.degs == d)))[:, free]
               for d in range(N_max - 1, 2, -1)]
@@ -282,6 +282,8 @@ def limit_of_chain(
     so the chain descends at N_cmp <= N too, and its intersection there is
     the last instance.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     algebra = build_truncation(family.spec, N)
     instances = [family.instantiate(n) for n in range(1, n_max + 1)]
     for inst in instances:

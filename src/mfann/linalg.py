@@ -15,8 +15,8 @@ reduced without forming it, one pivot loop reducing the same column of
 every block at once.  `echelon` returns the reduced form, `eliminate` the
 one split of it that decides solvability, and `solve` only the solution
 with every free variable zero, which is canonical.  A row reduction leaves
-this module as a `Subspace`, held as pivots and a dim x codim block; a null
-space is its `complement_functionals`, a meet the kernel of stacked ones.
+this module as a `Subspace`: pivots and a dim x codim block, written directly;
+a null space is its `complement_functionals`, a meet the kernel of stacked ones.
 `rref`, `kernel`, `solve_affine` and `mat_mul` are the same on lists.
 """
 
@@ -288,7 +288,8 @@ def eliminate(A, B, field):
     if R.ndim == 3:
         return R[..., w:], np.where(pivots < w, pivots, -1), np.where(pivots >= w, pivots - w, -1)
     k = bisect.bisect_left(pivots, w)
-    K = Subspace(field, B.shape[1], R[k:, w:], [q - w for q in pivots[k:]])
+    K_pivots = [q - w for q in pivots[k:]]
+    K = Subspace(field, B.shape[1], K_pivots, np.delete(R[k:, w:], K_pivots, axis=1))
     return R[:k, w:].copy(), pivots[:k], K
 
 
@@ -360,30 +361,27 @@ def solve_affine(A, b, field):
 
 
 class Subspace:
-    """A subspace of k^ambient: its reduced basis's pivots, and `block`, the rest, read-only."""
+    """A subspace of k^ambient: its reduced basis's pivots, the other columns
+    `free`, and `block`, the basis at them (dim x codim), read-only."""
 
-    def __init__(self, field, ambient, basis, pivots):
+    def __init__(self, field, ambient, pivots, block):
         self.field, self.ambient, self.pivots = field, ambient, list(pivots)
-        self._free = np.delete(np.arange(ambient), self.pivots)  # the other columns
-        self.block = as_array(basis, field, ambient)[:, self._free]
+        self.free = np.delete(np.arange(ambient), self.pivots)
+        self.block = block
         self.block.flags.writeable = False
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        basis, pivots = echelon(as_array(vectors, field, ambient), field)
-        return cls(field, ambient, basis, pivots)
+        R, pivots = echelon(as_array(vectors, field, ambient), field)
+        return cls(field, ambient, pivots, np.delete(R, pivots, axis=1))
 
     @classmethod
     def from_functionals(cls, field, ambient, rows):
         """The subspace on which every row vanishes: reduced from the right, the
-        rows pivot at its free columns, c's being e_c minus the basis's column c."""
+        rows pivot at its free columns, last first, c's being e_c minus the basis's column c."""
         R, rev = echelon(as_array(rows, field, ambient)[:, ::-1], field)
-        free = ambient - 1 - np.array(rev, dtype=np.intp)
-        pivots = np.delete(np.arange(ambient), free)
-        basis = zeros((pivots.size, ambient), field)
-        basis[np.arange(pivots.size), pivots] = field.one
-        basis[:, free] = neg(R[:, ambient - 1 - pivots].T, field)
-        return cls(field, ambient, basis, pivots.tolist())
+        pivots = np.delete(np.arange(ambient), ambient - 1 - np.array(rev, dtype=np.intp))
+        return cls(field, ambient, pivots.tolist(), neg(R[::-1, ambient - 1 - pivots].T, field))
 
     @classmethod
     def from_blocks(cls, field, ambient, rows, pivots, cols):
@@ -395,14 +393,18 @@ class Subspace:
         b, i = np.nonzero(pivots >= 0)
         at = cols[b, pivots[b, i]]
         order = np.argsort(at)
-        b, i = b[order], i[order]
-        basis = zeros((b.size, ambient + 1), field)
-        basis[np.arange(b.size)[:, None], cols[b]] = rows[b, i]
-        return cls(field, ambient, basis[:, :ambient], at[order].tolist())
+        b, i, at = b[order], i[order], at[order]
+        # c's block column: c less the pivots below it; the last, dropped, for pivots and padding
+        coords = np.arange(ambient + 1)
+        slot = coords - np.searchsorted(at, coords)
+        slot[at] = ambient - at.size
+        block = zeros((b.size, ambient - at.size + 1), field)
+        block[np.arange(b.size)[:, None], slot[cols[b]]] = rows[b, i]
+        return cls(field, ambient, at.tolist(), block[:, :-1])
 
     @classmethod
     def zero_space(cls, field, ambient):
-        return cls(field, ambient, zeros((0, ambient), field), [])
+        return cls(field, ambient, [], zeros((0, ambient), field))
 
     @property
     def dim(self):
@@ -413,7 +415,7 @@ class Subspace:
         """The reduced-echelon basis, dim x ambient, rebuilt read-only."""
         out = zeros((self.dim, self.ambient), self.field)
         out[np.arange(self.dim), self.pivots] = self.field.one
-        out[:, self._free] = self.block
+        out[:, self.free] = self.block
         out.flags.writeable = False
         return out
 
@@ -422,7 +424,7 @@ class Subspace:
         for a 2-D v, the residual of every row.  It is zero at the pivots,
         so only the other columns are computed."""
         v = as_array(v, self.field)
-        f, free = self.field, self._free
+        f, free = self.field, self.free
         out = zeros(v.shape, f)
         out[..., free] = mod(v[..., free] - dot(v[..., self.pivots], self.block, f), f)
         return out
@@ -433,7 +435,7 @@ class Subspace:
 
     def complement_functionals(self):
         """Rows of a matrix E with kernel exactly this subspace."""
-        f, free = self.field, self._free
+        f, free = self.field, self.free
         out = zeros((free.size, self.ambient), f)
         out[np.arange(free.size), free] = f.one
         out[:, self.pivots] = neg(self.block.T, f)

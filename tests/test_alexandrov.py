@@ -105,6 +105,15 @@ def test_repeated_label_is_rejected(members, parametric):
         compactness_verdict(fam)
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_n_max_below_one_is_rejected(n_max):
+    fam = build_family("d-inf-1", F13, N=6)
+    for expand in (fam.expanded, lambda n: build_preorder(fam, n_max=n),
+                   lambda n: compactness_verdict(fam, n_max=n)):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            expand(n_max)
+
+
 @pytest.mark.parametrize("ring_id", RING_IDS)
 def test_full_families_are_compact(ring_id):
     fam = build_family(ring_id, F13, N=8)

@@ -225,12 +225,25 @@ def term_degrees(searcher, r):
 def test_a_searcher_refuses_a_term_outside_its_degrees():
     mf = catalog("a-inf-1", "phi", 2, F13).mf
     x, other = mf.spec.poly("x"), mf.spec.poly("x + y^3")
-    searcher = annihilator._searchers(mf, 2, [x])[0]
+    searcher = annihilator._WitnessSearcher(mf, 2, [x])
     assert len(searcher.system.Y) == 1
     assert term_degrees(searcher, other) - term_degrees(searcher, x)
     assert searcher.search(x) is not None
     with pytest.raises(InvariantError, match="outside the degrees"):
         searcher.search(other)
+
+
+@pytest.mark.parametrize("field", [F13, QQ], ids=["F13", "Q"])
+def test_one_searcher_serves_generators_of_different_top_degrees(field):
+    # deg x y^4 = 5 exceeds D + (largest entry degree) = 1, the top degree
+    # of the searcher of x alone: the shared searcher's box reaches degree 5
+    mf = catalog("a-inf-1", "phi", 1, field).mf
+    rs = [mf.spec.poly("x"), mf.spec.poly("x*y^4")]
+    searcher = annihilator._WitnessSearcher(mf, 0, rs)
+    assert max(sum(m) for m in searcher.box.monos) == 5
+    found = [searcher.search(r) for r in rs]
+    assert [w is None for w in found] == [witness_search(mf, r, 0) is None for r in rs]
+    assert all(w is None or w.verify(mf) for w in found) and any(found)
 
 
 def test_annihilate_builds_one_block_per_generator_degree():
@@ -251,7 +264,7 @@ def test_annihilate_builds_one_block_per_generator_degree():
         result = annihilate(mf, N=10, D=7)
     assert result.status == "certified-exact"
     # one system for the truncated annihilator and one per searcher, one
-    # searcher per (witness degree, top degree) pair that the ladder meets
+    # searcher per witness degree that the ladder meets
     assert len(systems) == 1 + len(served) <= 6
     for searcher, rs in served.items():
         degrees = set().union(*(term_degrees(searcher, r) for r in rs))
@@ -345,11 +358,10 @@ def test_blocks_scattered_from_triplets_equal_the_dense_gather(field, ring_id, l
             else contextlib.nullcontext():
         assert_blocks_match_gather(lambda: annihilator_truncated(mf, N),
                                    lambda _: algebra.multiples)
-        entry_degree = max(e.degree() for row in mf.phi + mf.psi for e in row)
         # r = 0 serves every degree, a generator its own degrees
         for r in (Polynomial.zero(field, mf.spec.nvars), entry.expected_annihilator.generators[0]):
             assert_blocks_match_gather(
-                lambda: annihilator._WitnessSearcher(mf, D, D + entry_degree, [r]),
+                lambda: annihilator._WitnessSearcher(mf, D, [r]),
                 lambda searcher: lambda key: searcher.box.multiples(*key, field))
 
 

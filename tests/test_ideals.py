@@ -261,6 +261,15 @@ def test_limit_of_chain_refutes_wrong_candidate():
     assert res.failure == "truncated intersection differs from candidate"
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_limit_of_chain_rejects_n_max_below_one(n_max):
+    # tail offset 1: at n_max = 0 no instance is built, yet the tail has
+    # degree 1; at n_max = -1 it has degree 0
+    fam = ParametricIdealFamily(XXY, (XXY.poly("x^2"), XXY.poly("x*y")), XXY.poly("y"), 1)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        limit_of_chain(fam, I(XXY, "x^2", "x*y"), n_max=n_max, N=8)
+
+
 def test_ideal_spec_validation():
     with pytest.raises(Exception):
         IdealSpec(XX, (XX.poly("0"),))

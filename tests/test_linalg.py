@@ -237,7 +237,7 @@ def test_rational_elimination_matches_the_list_reference(data):
     k = min(A.shape[1], X.shape[0])
     A, X = A[:, :k], X[:k]
     R, pivots = echelon(A, QQ)
-    null = Subspace(QQ, k, R, pivots).complement_functionals()
+    null = Subspace.from_vectors(QQ, k, R).complement_functionals()
     assert (R.tolist(), pivots) == reference_rref(A.tolist(), QQ)
     B = dot(A, X, QQ)
     if len(B) and data.draw(st.booleans()):
@@ -340,7 +340,7 @@ def test_solve_with_a_matrix_right_hand_side(field, data):
     A, X = A[:, :k], X[:k]
     B = dot(A, X, field)  # every column consistent
     particular = solve(A, B, field)
-    null = Subspace(field, k, *echelon(A, field)).complement_functionals()
+    null = Subspace.from_vectors(field, k, echelon(A, field)[0]).complement_functionals()
     assert particular.shape == X.shape
     assert np.array_equal(dot(A, particular, field), B)
     for j in range(B.shape[1]):
@@ -432,6 +432,18 @@ def dense_residual(R, pivots, v, field):
     return out
 
 
+def assert_reference_subspace(U, ambient, R_ref, pivots_ref):
+    """U is the subspace of k^ambient whose reduced basis is R_ref: its
+    pivots, its free columns, its block there and its basis, both read-only."""
+    free = [c for c in range(ambient) if c not in pivots_ref]
+    assert U.ambient == ambient and U.pivots == pivots_ref and U.free.tolist() == free
+    assert U.block.shape == (U.dim, ambient - U.dim)
+    assert U.block.tolist() == [[row[c] for c in free] for row in R_ref]
+    assert U.basis.tolist() == R_ref and U.basis.shape == (U.dim, ambient)
+    assert not U.block.flags.writeable and not U.basis.flags.writeable
+    assert_python_entries(U.block, U.basis)
+
+
 @over_three_fields
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
@@ -441,11 +453,7 @@ def test_subspace_block_is_the_reference_basis_at_its_free_columns(field, data):
     U = Subspace.from_vectors(field, ambient, M)
     R_ref, pivots_ref = reference_rref(M.tolist(), field)
     free = [c for c in range(ambient) if c not in pivots_ref]
-    assert U.pivots == pivots_ref and U.block.shape == (U.dim, ambient - U.dim)
-    assert U.block.tolist() == [[row[c] for c in free] for row in R_ref]
-    assert U.basis.tolist() == R_ref and U.basis.shape == (U.dim, ambient)
-    assert not U.block.flags.writeable and not U.basis.flags.writeable
-    assert_python_entries(U.block, U.basis)
+    assert_reference_subspace(U, ambient, R_ref, pivots_ref)
     # the functionals: the unit vector at each free column, minus that
     # column of the basis at the pivots
     E = [[field.one if c == f else field.neg(R_ref[pivots_ref.index(c)][f])
@@ -489,3 +497,55 @@ def test_intersect_matches_the_zassenhaus_oracle(field, data):
     # one stacked meet of three is the meet folded pairwise
     W = Subspace.from_vectors(field, ambient, M[::2])
     assert U.intersect(V, W) == zassenhaus(zassenhaus(U, V), W)
+
+
+@st.composite
+def block_stacks(draw, field):
+    """(ambient, stack, cols, dense): a stack of blocks as `from_blocks`
+    takes it, each block's columns at some coordinates, ascending, then
+    zero padding columns (coordinate ambient) up to a common width, and zero
+    rows up to a common height; some coordinates lie in no block, some
+    blocks have no rows or no columns, and some a pivot in every column.
+    dense holds the block-diagonal rows that the stack stands for."""
+    ambient, nblocks = draw(st.integers(0, 10)), draw(st.integers(1, 4))
+    owner = draw(st.lists(st.integers(-1, nblocks - 1), min_size=ambient, max_size=ambient))
+    at = [[c for c in range(ambient) if owner[c] == b] for b in range(nblocks)]
+    blocks = []
+    for coords in at:
+        M = draw(sparse_matrices(field, max_rows=5, max_cols=len(coords)))
+        M = np.hstack([M, zeros((len(M), len(coords) - M.shape[1]), field)])
+        blocks.append(eye(field, len(coords)) if draw(st.booleans()) else M)
+    width = max(map(len, at)) + draw(st.integers(0, 2))
+    stack = zeros((nblocks, max(map(len, blocks)), width), field)
+    cols = np.full((nblocks, width), ambient)
+    dense = []
+    for b, (coords, M) in enumerate(zip(at, blocks)):
+        cols[b, :len(coords)] = coords
+        stack[b, :len(M), :len(coords)] = M
+        for row in M.tolist():
+            dense.append([field.zero] * ambient)
+            for c, v in zip(coords, row):
+                dense[-1][c] = v
+    return ambient, stack, cols, dense
+
+
+@over_three_fields
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_from_blocks_is_the_reduced_span_of_the_block_diagonal_rows(field, data):
+    ambient, stack, cols, dense = data.draw(block_stacks(field))
+    U = Subspace.from_blocks(field, ambient, *echelon(stack, field), cols)
+    assert_reference_subspace(U, ambient, *reference_rref(dense, field))
+
+
+@over_three_fields
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_from_functionals_is_the_reduced_kernel(field, data):
+    M = data.draw(sparse_matrices(field))
+    ambient = M.shape[1]
+    rows = data.draw(st.sampled_from([M, zeros((0, ambient), field), eye(field, ambient)]))
+    U = Subspace.from_functionals(field, ambient, rows)
+    null = reference_solve(rows, zeros((len(rows), 0), field), field)[1]
+    assert_reference_subspace(U, ambient, *reference_rref(null, field))
+    assert not np.count_nonzero(dot(rows, U.basis.T, field))
