@@ -3,8 +3,9 @@
 Compactness of the Alexandrov space of a module family is decided through
 the attainment criterion: the family's topology is compact exactly when
 some member's annihilator equals the intersection of all members'
-annihilators.  Parametric members contribute their verified chain limits;
-without a verified limit the verdict degrades to undetermined.
+annihilators.  A chain's limit is its n-free generators, certified by
+`limit_of_chain`; without that certificate the verdict degrades to
+undetermined.
 """
 
 from __future__ import annotations
@@ -40,18 +41,16 @@ class AnnFamily:
 
     ring: RingSpec
     members: tuple  # (label, IdealSpec)
-    parametric: tuple = ()  # (label, ParametricIdealFamily, limit candidate IdealSpec|None)
+    parametric: tuple = ()  # (label, ParametricIdealFamily)
     N: int = 10
 
     def __post_init__(self):
         for _label, ideal in self.members:
             if ideal.spec != self.ring:
                 raise SpecError("family member over a different ring")
-        for _label, fam, limit in self.parametric:
+        for _label, fam in self.parametric:
             if fam.spec != self.ring:
                 raise SpecError("parametric member over a different ring")
-            if limit is not None and limit.spec != self.ring:
-                raise SpecError("limit candidate over a different ring")
 
     def expanded(self, n_max: int):
         """All members including parametric instantiations, labeled;
@@ -63,7 +62,7 @@ class AnnFamily:
             raise ValueError(f"{count} family members at n_max = {n_max}, "
                              f"more than {MAX_MEMBERS}")
         out = list(self.members)
-        for label, fam, _limit in self.parametric:
+        for label, fam in self.parametric:
             for n in range(1, n_max + 1):
                 out.append((f"{label}[n={n}]", fam.instantiate(n)))
         return out
@@ -155,14 +154,10 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
     edges = _preorder(algebra, labeled, spaces)
     scale = {"N": family.N, "n_max": n_max, "D": D}
 
-    # parametric limits, each verified at scale
+    # parametric limits, the n-free generators, each verified at scale
     limits = []
-    for label, fam, limit in family.parametric:
-        if limit is None:
-            return AlexandrovVerdict(
-                "undetermined", None, None, edges, None, scale,
-                detail=f"parametric member {label!r} has no limit candidate",
-            )
+    for label, fam in family.parametric:
+        limit = IdealSpec(fam.spec, fam.fixed)
         res = limit_of_chain(fam, limit, n_max, family.N, D)
         if res.status != "verified-at-scale":
             return AlexandrovVerdict(
@@ -194,7 +189,7 @@ def compactness_verdict(family: AnnFamily, n_max: int = 5, D: int = 4) -> Alexan
     # strictly descending parametric chain with unattained intersection; a
     # single instance descends nowhere, so it is no evidence
     below = set(edges)
-    for label, fam, _limit in family.parametric:
+    for label, _fam in family.parametric:
         chain = [f"{label}[n={n}]" for n in range(1, n_max + 1)]
         strict = len(chain) >= 2 and all((b, a) in below and spaces[b].dim < spaces[a].dim
                                          for a, b in zip(chain, chain[1:]))

@@ -174,8 +174,8 @@ def _annihilator_ideal(mf: MatrixFactorization, N: int):
     """The truncated annihilator, the kernel of the constraint rows K, and
     its generators, which extract_generators checks to span it."""
     algebra = build_truncation(mf.spec, N)
-    exps = np.array(algebra.basis, dtype=np.int64).reshape(algebra.dim, -1)
-    K = _System(mf, exps, _nonzero(zip(*mf.phi)), _nonzero(mf.psi), algebra.triplets, True).K
+    K = _System(mf, algebra.exps, _nonzero(zip(*mf.phi)), _nonzero(mf.psi),
+                algebra.triplets, True).K
     ann = Subspace.from_functionals(algebra.field, algebra.dim, K.basis)
     return ann, extract_generators(ann, algebra)
 
@@ -227,8 +227,7 @@ class _WitnessSearcher:
         gamma = max(top - spec.f.degree(), 0)
         absorbers = [[(spec.f, gamma) if i == k else None for i in range(n)] for k in range(n)]
         system = self.system = _System(
-            mf, np.array(box.monos, dtype=np.int64).reshape(box.dim, -1),
-            _nonzero(zip(*mf.phi), lambda e: (e, D)) + absorbers,
+            mf, box.exps, _nonzero(zip(*mf.phi), lambda e: (e, D)) + absorbers,
             _nonzero(mf.psi, lambda e: (e, D)), lambda k: box.triplets(*k, field), False, served)
         # places in y, which holds beta[i][j] at i * n * dim + j * dim + m, and
         # in x, which holds G's rows (g, m) at g * dim + m; the last for padding
@@ -308,7 +307,10 @@ class AnnihilatorResult:
 def annihilate(mf: MatrixFactorization, N: int, D: int) -> AnnihilatorResult:
     """Full annihilator computation: truncated upper bound, generator
     extraction, witness search (ascending degree), status and bound checks;
-    raises InvariantError if the bound is no ideal of R_N or leaves a J_k."""
+    raises InvariantError if the bound is no ideal of R_N or leaves a J_k,
+    ValueError for D < 0."""
+    if D < 0:
+        raise ValueError("degree bound must be >= 0")
     algebra = build_truncation(mf.spec, N)
     upper, gens = _annihilator_ideal(mf, N)
 

@@ -32,8 +32,8 @@ def build_family(
     """AnnFamily for a ring, one member per catalog row.
 
     A finite row's member is its annihilator.  A parametric row's annihilator
-    has one generator in n, its tail base^(n+offset); the others are both the
-    fixed generators and the limit of the family.  subfamily 'cm0' keeps the
+    has one generator in n, its tail base^(n+offset); the others, its fixed
+    generators, are the limit of the family.  subfamily 'cm0' keeps the
     members locally free on the punctured spectrum (the cok phi_n of the
     A-type dimension-one ring).  D is unused, and still accepted so that
     callers passing it keep working.
@@ -55,7 +55,7 @@ def build_family(
         (tail,) = [g for g in ann if "{" in g]
         base, offset = tail.format(n=0, n1=1).split("^")
         parametric.append((label, ParametricIdealFamily(
-            spec, fixed.generators, spec.poly(base), int(offset)), fixed))
+            spec, fixed.generators, spec.poly(base), int(offset))))
     if not members and not parametric:
         raise CatalogError(f"ring {ring_id} has no cm0 members in the catalog")
     return AnnFamily(spec, tuple(members), tuple(parametric), N)

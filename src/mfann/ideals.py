@@ -260,7 +260,7 @@ def is_m_primary(ideal: IdealSpec, N_max: int) -> MPrimaryResult:
 
 @dataclass(frozen=True)
 class LimitResult:
-    status: str  # verified-at-scale | refuted
+    status: str  # verified-at-scale | refuted | undetermined (no cofactors within D)
     failure: str = ""
 
 
@@ -274,13 +274,14 @@ def limit_of_chain(
     """Check that the candidate is the limit of the descending family.
 
     (a) every candidate generator is a yes-certified member of each
-    instantiation, (c) the family truly descends at truncation N: each
-    instance's truncation contains the reduced generators of the next,
-    (b) the truncated intersection over n <= n_max equals the candidate's
-    truncation.  (c) runs first: R_N -> R_{N_cmp} is a surjective ring map
-    that carries an ideal's truncation at N onto its truncation at N_cmp,
-    so the chain descends at N_cmp <= N too, and its intersection there is
-    the last instance.
+    instantiation (undetermined if `member` certifies neither way), (c) the
+    family truly descends at truncation N: each instance's truncation
+    contains the reduced generators of the next, (b) the truncated
+    intersection over n <= n_max equals the candidate's truncation.  (c)
+    runs first: R_N -> R_{N_cmp} is a surjective ring map that carries an
+    ideal's truncation at N onto its truncation at N_cmp, so the chain
+    descends at N_cmp <= N too, and its intersection there is the last
+    instance.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -291,15 +292,15 @@ def limit_of_chain(
             res = member(g, inst, N, D)
             if not res.is_member:
                 return LimitResult(
-                    "refuted", f"{candidate.format()} not certified inside {inst.format()}")
+                    "refuted" if res.status == "no-certified" else "undetermined",
+                    f"{candidate.format()} not certified inside {inst.format()}")
     for k in range(n_max - 1):
         space = truncate_ideal(instances[k], algebra)
         if not space.contains(generator_rows(instances[k + 1], algebra)):
             return LimitResult("refuted", f"family does not descend at n={k + 1}")
-    # The finite intersection is faithful to the infinite one only below the
-    # degree of the last tail generator; compare there.
-    tail_degree = family.tail_base.degree() * (n_max + family.tail_offset)
-    N_cmp = min(N, tail_degree)
+    # The finite intersection is faithful to the infinite one below the
+    # order of the last tail generator, which lies in m^order; compare there.
+    N_cmp = min(N, family.tail_base.min_degree() * (n_max + family.tail_offset))
     if N_cmp < 1:
         return LimitResult("refuted", "tail degenerates at this scale")
     cmp_algebra = build_truncation(family.spec, N_cmp)

@@ -86,7 +86,7 @@ def monomials_below(nvars: int, n: int) -> list:
 
 class MonomialBox:
     """The monomials of degree < N, one index each in ascending graded-lex
-    order, with their graded-lex keys in base 2N and their degrees.
+    order, with their exponent rows, graded-lex keys in base 2N and degrees.
 
     The keys of two monomials of the box add to the key of their product,
     which never aliases another key; a product of degree >= N, or any
@@ -106,8 +106,8 @@ class MonomialBox:
         self.nvars, self.N = nvars, N
         self.monos = monomials_below(nvars, N)
         self.dim = len(self.monos)
-        exps = np.array(self.monos, dtype=np.int64).reshape(self.dim, nvars)
-        self.keys, self.degs = grlex_keys(exps, 2 * N), exps.sum(axis=1)
+        self.exps = np.array(self.monos, dtype=np.int64).reshape(self.dim, nvars)
+        self.keys, self.degs = grlex_keys(self.exps, 2 * N), self.exps.sum(axis=1)
 
     def locate(self, keys, degs):
         """Indices of the monomials with these keys and degrees (arrays of

@@ -196,7 +196,7 @@ class TruncatedAlgebra:
         n = box.dim  # index n, for every monomial of degree >= N, is the empty row
 
         w = self.weights = mixed_radix(gradings(f), N - 1, f)
-        degs = np.array(box.monos, dtype=np.int64).reshape(n, -1) @ w
+        degs = box.exps @ w
         # Terms of f of degree >= N only ever land on the empty row.  The
         # multipliers of f, of degree < N - min deg f, are the first u
         # monomials; the relation of multiplier k has degree degs[k] + deg f.
@@ -217,6 +217,7 @@ class TruncatedAlgebra:
         standard[n] = False  # the padding of the blocks
         basis_at = standard.nonzero()[0]
         self.basis = [box.monos[i] for i in basis_at]
+        self.exps = box.exps[basis_at]  # the basis monomials' exponents, a row each
         self._basis_keys, self._basis_degs = box.keys[basis_at], box.degs[basis_at]
         self.degrees = Degrees(degs[basis_at])
         # a leading monomial reduces to minus the rest of its reduced relation

@@ -61,35 +61,31 @@ def test_compact_when_minimum_attained():
 
 
 def test_descending_chain_without_limit_is_undetermined():
+    # (x, (1 + y)^n) is the unit ideal, not (x): its unit tail base leaves
+    # limit_of_chain no degree to certify the n-free generators at
     fam = AnnFamily(
-        XX,
-        (),
-        ((
-            "phi",
-            ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y"), 0),
-            None,
-        ),),
-        N=8,
-    )
+        XX, (), (("phi", ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("1 + y"), 0)),), N=8)
     verdict = compactness_verdict(fam, n_max=5)
     assert verdict.verdict == "undetermined"
+    assert verdict.detail == "limit of 'phi' not verified: tail degenerates at this scale"
 
 
 def test_not_compact_evidence_for_pure_chain():
     fam = AnnFamily(
-        XX,
-        (),
-        ((
-            "phi",
-            ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y"), 0),
-            I(XX, "x"),
-        ),),
-        N=8,
-    )
+        XX, (), (("phi", ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y"), 0)),), N=8)
     verdict = compactness_verdict(fam, n_max=6)
     assert verdict.verdict == "not-compact-evidence"
     assert verdict.global_intersection.format() == "(x)"
     assert verdict.m_primary == "not-m-primary-evidence"
+
+
+def test_not_compact_evidence_for_an_inhomogeneous_tail():
+    # (x, (y + y^2)^n) = (x, y^n) descends to (x), which no member attains
+    chain = ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y + y^2"), 0)
+    fam = AnnFamily(XX, (("B", I(XX, "x", "y")),), (("phi", chain),), N=8)
+    verdict = compactness_verdict(fam, n_max=4)
+    assert verdict.verdict == "not-compact-evidence"
+    assert verdict.global_intersection.format() == "(x)"
 
 
 @pytest.mark.parametrize("members, parametric", [
@@ -97,7 +93,7 @@ def test_not_compact_evidence_for_pure_chain():
     ((("A", I(XX, "x", "y")), ("A", I(XX, "x"))), ()),
     # a finite member named like the first instance of the parametric one
     ((("phi[n=1]", I(XX, "x")),),
-     (("phi", ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y"), 0), I(XX, "x")),)),
+     (("phi", ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y"), 0)),)),
 ])
 def test_repeated_label_is_rejected(members, parametric):
     fam = AnnFamily(XX, members, parametric, N=6)
@@ -210,11 +206,12 @@ def test_truncate_ideal_memo_matches_direct_span(ideal, N, data):
 
 def reference_verdict(family, n_max, D=4):
     """The verdict by the definition: the meet folds every expanded member's
-    and every limit's own truncation, each limit taken as verified."""
+    and every limit's own truncation, each limit, a chain's n-free
+    generators, taken as verified."""
     algebra = build_truncation(family.ring, family.N)
     labeled = family.expanded(n_max)
     spaces = {lab: truncate_ideal(ideal, algebra) for lab, ideal in labeled}
-    limits = [limit for _lab, _fam, limit in family.parametric]
+    limits = [IdealSpec(fam.spec, fam.fixed) for _lab, fam in family.parametric]
     meet = None
     for sp in list(spaces.values()) + [truncate_ideal(limit, algebra) for limit in limits]:
         meet = sp if meet is None else meet.intersect(sp)
@@ -226,7 +223,7 @@ def reference_verdict(family, n_max, D=4):
                 member(g, t, family.N, D).is_member
                 for g in ideal.generators for t in targets if t is not ideal):
             return "compact", lab, gens, edges, lab, meet
-    for lab, _fam, _limit in family.parametric:
+    for lab, _fam in family.parametric:
         chain = [f"{lab}[n={n}]" for n in range(1, n_max + 1)]
         if len(chain) >= 2 and all((b, a) in edges and spaces[b].dim < spaces[a].dim
                                    for a, b in zip(chain, chain[1:])):
@@ -245,7 +242,8 @@ def test_verdict_matches_full_intersection(ring_id, subfamily, field, N, n_max):
 @pytest.mark.parametrize("ring_id, subfamily, field, N, n_max", FAMILY_CASES)
 def test_limit_of_chain_verifies_family_chains(ring_id, subfamily, field, N, n_max):
     fam = build_family(ring_id, field, N, subfamily=subfamily)
-    for _lab, pfam, limit in fam.parametric:
+    for _lab, pfam in fam.parametric:
+        limit = IdealSpec(pfam.spec, pfam.fixed)
         assert limit_of_chain(pfam, limit, n_max, N).status == "verified-at-scale"
 
 

@@ -244,6 +244,15 @@ def test_annihilate_status_certified_exact():
     assert all(w.verify(entry.mf) for _g, w in res.lower)
 
 
+def test_annihilate_rejects_a_negative_degree_bound():
+    # D = -1 would search no witness degree and call x and y^2 undetermined
+    mf = catalog("a-inf-1", "phi", 2, F13).mf
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        annihilate(mf, N=8, D=-1)
+    with pytest.raises(ValueError, match="degree bound must be >= 0"):
+        witness_search(mf, mf.spec.poly("x"), -1)
+
+
 def test_annihilate_bounded_gap_when_degree_too_small():
     # at witness degree 0 only the constant-coefficient generator z is reached
     entry = catalog("d-inf-2", "delta+", 1, F13)

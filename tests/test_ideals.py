@@ -244,6 +244,10 @@ def test_limit_of_chain_verified():
     )
     res = limit_of_chain(fam, I(XXY, "x^2", "x*y"), n_max=5, N=10)
     assert res.status == "verified-at-scale"
+    # (x, (y + y^2)^n) = (x, y^n), 1 + y a unit: (y + y^2)^4 lies in m^4
+    # alone, so the last instance is (x) only below degree 4
+    fam = ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y + y^2"), 0)
+    assert limit_of_chain(fam, I(XX, "x"), n_max=4, N=8).status == "verified-at-scale"
 
 
 def test_limit_of_chain_refutes_wrong_candidate():
@@ -259,6 +263,15 @@ def test_limit_of_chain_refutes_wrong_candidate():
     res = limit_of_chain(fam, I(XX, "x^2"), n_max=5, N=10)
     assert res.status == "refuted"
     assert res.failure == "truncated intersection differs from candidate"
+
+
+def test_limit_of_chain_is_undetermined_past_the_cofactor_window():
+    # x * (1 + y^5) generates the limit (x), but inside (x, y) it needs a
+    # cofactor of degree 5 > D = 4: member finds none and refutes nothing
+    fam = ParametricIdealFamily(XX, (XX.poly("x"),), XX.poly("y"), 0)
+    res = limit_of_chain(fam, I(XX, "x + x*y^5"), n_max=5, N=10)
+    assert res.status == "undetermined"
+    assert res.failure == "(x*y^5 + x) not certified inside (x, y)"
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

@@ -176,12 +176,12 @@ def test_family_layout_read_off_catalog_table(ring_id):
     assert [label for label, _ideal in family.members] == finite
     for label, ideal in family.members:
         assert ideal == catalog(ring_id, label, None, F13).expected_annihilator
-    assert [label for label, _chain, _limit in family.parametric] == list(parametric)
-    for label, chain, limit in family.parametric:
+    assert [label for label, _chain in family.parametric] == list(parametric)
+    for label, chain in family.parametric:
         fixed, base, offset, limit_gens = parametric[label]
         assert chain.fixed == IdealSpec.from_strings(spec, fixed).generators
         assert (chain.tail_base, chain.tail_offset) == (spec.poly(base), offset)
-        assert limit == IdealSpec.from_strings(spec, limit_gens)
+        assert IdealSpec(chain.spec, chain.fixed) == IdealSpec.from_strings(spec, limit_gens)
     with pytest.raises(CatalogError):
         build_family("x-inf-9", F13)
 
